@@ -29,8 +29,9 @@ pub const DEFAULT_NCQ_DEPTH: usize = 32;
 /// How a trace's host requests are admitted to the device during replay.
 ///
 /// All five modes feed the same request-splitting, translation and
-/// chain-playing machinery ([`SsdDevice::run`]); they differ only in *when*
-/// a request's flash work may begin:
+/// chain-playing machinery ([`SsdDevice::run_with`], via
+/// `RunConfig::from(mode)`); they differ only in *when* a request's flash
+/// work may begin:
 ///
 /// * [`ReplayMode::Open`] — open arrivals: every request books its flash
 ///   work at its trace arrival time. Resource timelines push the work into
@@ -104,14 +105,15 @@ pub enum ReplayMode {
 /// depth for the modes that use one, the neutral [`QosSpec::Ncq`] policy,
 /// one shard (sequential engine), no sink change.
 ///
-/// `shards` selects the parallel engine (see `DESIGN.md` §3f): the device
-/// is partitioned into contiguous channel groups, each advancing on its
-/// own worker thread, with a deterministic merge that keeps every report
-/// field **bit-identical** to the sequential engine. Parallelism applies
-/// to the arrival-reserving modes ([`ReplayMode::Open`], and
-/// [`ReplayMode::Closed`] while its queue is under-subscribed); the
-/// globally-coupled schedulers (gated/NCQ/QoS) accept the knob but run
-/// sequentially, so identity holds trivially there.
+/// `shards` selects the plane-local parallel engine (see `DESIGN.md` §3f):
+/// the device is partitioned into contiguous channel groups, each
+/// translating and playing its own operations on a worker thread, with a
+/// deterministic merge that keeps every report field **bit-identical** to
+/// the sequential engine. It serves open-arrival runs whose FTL attests
+/// plane-local translation; every other run — closed admission, the
+/// globally-coupled schedulers (gated/NCQ/QoS), an FTL that is not ready,
+/// or a worker that detects an impurity mid-run — replays sequentially,
+/// so identity holds trivially there.
 #[derive(Debug)]
 pub struct RunConfig {
     kind: ModeKind,
@@ -213,30 +215,6 @@ impl RunConfig {
     pub fn attach_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// The shard count in force.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The equivalent [`ReplayMode`] (the mode-only view of this config —
-    /// shard count and sink attachment have no `ReplayMode` spelling).
-    pub fn replay_mode(&self) -> ReplayMode {
-        match self.kind {
-            ModeKind::Open => ReplayMode::Open,
-            ModeKind::Gated => ReplayMode::Gated,
-            ModeKind::Closed => ReplayMode::Closed {
-                queue_depth: self.queue_depth,
-            },
-            ModeKind::Ncq => ReplayMode::Ncq {
-                queue_depth: self.queue_depth,
-            },
-            ModeKind::Qos => ReplayMode::Qos {
-                queue_depth: self.queue_depth,
-                policy: self.policy,
-            },
-        }
     }
 }
 
@@ -458,23 +436,15 @@ impl SsdDevice {
             .unwrap_or_default()
     }
 
-    /// Replay `requests` under the admission policy `mode` and measure.
-    /// Requests may be in any order; they are processed by arrival time
-    /// (FIFO among equal arrivals). Equivalent to
-    /// [`SsdDevice::run_with`] at the mode's default knobs — all five
-    /// modes share the request-splitting, translation, chain-playing and
-    /// report-assembly code, so they provably agree on the flash work
-    /// performed (see `tests/replay_modes.rs`).
-    pub fn run(&mut self, requests: &[HostRequest], mode: ReplayMode) -> RunReport {
-        self.run_with(requests, RunConfig::from(mode))
-    }
-
-    /// Replay `requests` as described by `config` — the single
-    /// fully-general replay entry point. The admission mode, queue depth,
-    /// QoS policy, shard count and optional sink attachment all ride in
-    /// the [`RunConfig`]; every legacy `run_trace*` entry point is a
-    /// deprecated one-line shim over this (fingerprint-identical,
-    /// property-tested in `tests/replay_modes.rs`).
+    /// Replay `requests` as described by `config` and measure — the
+    /// single replay entry point. Requests may be in any order; they are
+    /// processed by arrival time (FIFO among equal arrivals). The
+    /// admission mode, queue depth, QoS policy, shard count and optional
+    /// sink attachment all ride in the [`RunConfig`]; a [`ReplayMode`]
+    /// converts with `.into()`. All five modes share the
+    /// request-splitting, translation, chain-playing and report-assembly
+    /// code, so they provably agree on the flash work performed (see
+    /// `tests/replay_modes.rs`).
     pub fn run_with(&mut self, requests: &[HostRequest], config: RunConfig) -> RunReport {
         let RunConfig {
             kind,
@@ -487,11 +457,11 @@ impl SsdDevice {
             self.attach_sink(sink);
         }
         match kind {
-            ModeKind::Open => self.run_reserving_sharded(requests, None, shards),
+            ModeKind::Open => crate::shard::run_sharded(self, requests, shards),
             ModeKind::Gated => self.run_gated(requests),
             ModeKind::Closed => {
                 assert!(queue_depth >= 1, "queue depth must be at least 1");
-                self.run_reserving_sharded(requests, Some(queue_depth), shards)
+                self.run_reserving(requests, Some(queue_depth))
             }
             ModeKind::Ncq => {
                 assert!(queue_depth >= 1, "queue depth must be at least 1");
@@ -526,31 +496,6 @@ impl SsdDevice {
         }
         assert!(queue_depth >= 1, "queue depth must be at least 1");
         self.run_queued(requests, queue_depth, policy)
-    }
-
-    /// Dispatch an arrival-reserving replay to the parallel channel-group
-    /// engine when more than one shard is requested (and the geometry
-    /// supports it), and to the sequential loop otherwise. The two
-    /// engines are bit-identical on the full report fingerprint (claim
-    /// C15).
-    fn run_reserving_sharded(
-        &mut self,
-        requests: &[HostRequest],
-        queue_depth: Option<usize>,
-        shards: usize,
-    ) -> RunReport {
-        let channels = self.flash.geometry().channels as usize;
-        if shards.min(channels) > 1 {
-            crate::shard::run_sharded(self, requests, queue_depth, shards)
-        } else {
-            self.run_reserving(requests, queue_depth)
-        }
-    }
-
-    /// Replay `requests` with open arrivals.
-    #[deprecated(note = "use `run_with(requests, RunConfig::open())` instead")]
-    pub fn run_trace(&mut self, requests: &[HostRequest]) -> RunReport {
-        self.run(requests, ReplayMode::Open)
     }
 
     /// Arrival-reserving replay: every page operation books its resources
@@ -625,64 +570,43 @@ impl SsdDevice {
     }
 
     /// Serve one page operation of host request `req`, arriving at
-    /// `arrival`; returns the host completion time.
-    /// The FTL's host chain gates the response; its GC
-    /// chain is then played on the same resource timelines (delaying
-    /// *later* operations on those planes/buses) without extending this
-    /// request — the paper's Fig. 6 invokes GC after serving the write.
+    /// `arrival`; returns its response instant. The FTL's host chain gates
+    /// the response; its GC chain is then played on the same resource
+    /// timelines (delaying *later* operations on those planes/buses) —
+    /// under background GC without extending this request, the paper's
+    /// Fig. 6 invoking GC after serving the write; synchronously (the
+    /// FlashSim semantics, which is what makes FAST's full merges so
+    /// visible in Figs. 8-10) with the triggering request paying for it.
     fn serve_page_op(&mut self, lpn: u64, op: HostOp, arrival: SimTime, req: u64) -> SimTime {
-        let (host_chain, gc_chain, scan_chain) = self.translate_page_op(lpn, op);
-        // Housekeeping for unrelated planes first: it contends for
-        // resources but never gates this response.
-        self.hw
-            .set_span_context(SpanPhase::Scan, Some(lpn), Some(req));
-        self.play_chain(&scan_chain, arrival, false);
-        self.scan_chain = scan_chain;
-        self.hw
-            .set_span_context(SpanPhase::Host, Some(lpn), Some(req));
-        let (host_start, host_done) = self.play_chain_spans(&host_chain, arrival, true);
-        if !host_chain.is_empty() {
+        let (host, gc, scan) = self.translate_page_op(lpn, op);
+        let background_gc = self.config.background_gc;
+        let out = play_op(
+            &mut self.hw,
+            &mut self.plane_counts,
+            req,
+            lpn,
+            arrival,
+            [&scan, &host, &gc],
+            background_gc,
+        );
+        if !host.is_empty() {
             self.wait_ms
-                .push(host_start.saturating_since(arrival).as_millis_f64());
-            self.service_ms
-                .push(host_done.saturating_since(host_start).as_millis_f64());
+                .push(out.host_start.saturating_since(arrival).as_millis_f64());
+            self.service_ms.push(
+                out.host_done
+                    .saturating_since(out.host_start)
+                    .as_millis_f64(),
+            );
         }
-        self.host_chain = host_chain;
-        self.hw
-            .set_span_context(SpanPhase::Gc, Some(lpn), Some(req));
-        let response = if self.config.background_gc {
-            // Background mode: GC steps are only ordered per resource — a
-            // collection on plane A is independent of one on plane B, and
-            // the per-plane/per-channel timelines already serialise
-            // same-resource steps in chain order. The response does not
-            // wait for them.
-            self.play_chain(&gc_chain, host_done, false);
-            host_done
-        } else {
-            // Paper-faithful synchronous mode: the triggering request pays
-            // for the reclamation it caused (FlashSim semantics), which is
-            // what makes FAST's full merges so visible in Figs. 8-10.
-            let done = self.play_chain(&gc_chain, host_done, true);
-            if !gc_chain.is_empty() {
-                self.gc_block_ms
-                    .push(done.saturating_since(host_done).as_millis_f64());
-            }
-            done
-        };
-        self.gc_chain = gc_chain;
-        response
-    }
-
-    /// Hand previously-translated chains (with their allocations) back to
-    /// the device so the next [`SsdDevice::translate_page_op`] can reuse
-    /// them instead of allocating. The sequential drivers do this
-    /// implicitly by re-storing the chains after playing them; the sharded
-    /// engine moves chains into its job windows and recycles them here
-    /// once a window is folded.
-    pub(crate) fn prime_chains(&mut self, host: OpChain, gc: OpChain, scan: OpChain) {
+        if !background_gc && !gc.is_empty() {
+            self.gc_block_ms
+                .push(out.done.saturating_since(out.host_done).as_millis_f64());
+        }
+        // Hand the chains (and their allocations) back for reuse.
         self.host_chain = host;
         self.gc_chain = gc;
         self.scan_chain = scan;
+        out.done
     }
 
     /// Translate one page operation through the FTL — state effects are
@@ -715,77 +639,6 @@ impl SsdDevice {
             std::mem::take(&mut self.gc_chain),
             std::mem::take(&mut self.scan_chain),
         )
-    }
-
-    /// Reserve resources for each step of `chain`, starting no earlier
-    /// than `at`; returns the last completion. With `chained`, each step
-    /// additionally waits for the previous one (host dependency order);
-    /// without it, steps are issued together and only resource timelines
-    /// order them.
-    fn play_chain(&mut self, chain: &OpChain, at: SimTime, chained: bool) -> SimTime {
-        self.play_chain_spans(chain, at, chained).1
-    }
-
-    /// Like [`Self::play_chain`] but also reports when the earliest step
-    /// actually began (for queueing/service latency decomposition).
-    ///
-    /// Return contract: `(first_start, release)`, where `first_start` is
-    /// the minimum `start` across the chain's steps — with `chained:
-    /// false` steps are issued concurrently and step 0 need not begin
-    /// earliest — and `release` is the chain's maximum resource-timeline
-    /// end: every plane and channel the chain touched is free again at
-    /// (or before) that time, so `release` is also the correct wake time
-    /// for schedulers gating on those resources (the wake-event contract
-    /// in DESIGN.md). An empty chain returns `(at, at)`.
-    fn play_chain_spans(
-        &mut self,
-        chain: &OpChain,
-        at: SimTime,
-        chained: bool,
-    ) -> (SimTime, SimTime) {
-        let mut t = at;
-        let mut last = at;
-        let mut first_start: Option<SimTime> = None;
-        for step in chain.steps() {
-            let issue = if chained { t } else { at };
-            let completion = match *step {
-                FlashStep::Read { plane } => self.hw.exec_read(plane, issue),
-                FlashStep::ReadRetry { plane, steps } => {
-                    self.hw.exec_read_retry(plane, issue, steps)
-                }
-                FlashStep::Write { plane } => self.hw.exec_write(plane, issue),
-                FlashStep::Erase { plane } => self.hw.exec_erase(plane, issue),
-                FlashStep::CopyBack { plane } => self.hw.exec_copyback(plane, issue),
-                FlashStep::InterPlaneCopy { src, dst } => {
-                    self.hw.exec_interplane_copy(src, dst, issue)
-                }
-            };
-            first_start = Some(match first_start {
-                Some(f) => f.min(completion.start),
-                None => completion.start,
-            });
-            let (p, q) = step.planes();
-            self.plane_counts[p as usize] += 1;
-            if let Some(q) = q {
-                self.plane_counts[q as usize] += 1;
-            }
-            t = completion.end;
-            last = last.max(completion.end);
-        }
-        // With `chained`, each step starts at the previous step's end, so
-        // the final `t` is already the maximum resource release.
-        let first_start = first_start.unwrap_or(at);
-        if chained {
-            (first_start, t)
-        } else {
-            (first_start, last)
-        }
-    }
-
-    /// Issue-gated replay.
-    #[deprecated(note = "use `run_with(requests, RunConfig::gated())` instead")]
-    pub fn run_trace_gated(&mut self, requests: &[HostRequest]) -> RunReport {
-        self.run(requests, ReplayMode::Gated)
     }
 
     /// Issue-gated replay — the literal FlashSim priority list (§IV.B):
@@ -905,9 +758,9 @@ impl SsdDevice {
         req_ops_left: &mut [u32],
         events: &mut EventQueue<Option<usize>>,
     ) -> SimTime {
-        self.hw
-            .set_span_context(SpanPhase::Host, Some(op.lpn), Some(op.req as u64));
-        let (host_start, host_done) = self.play_chain_spans(&op.host, now, true);
+        let (hw, counts) = (&mut self.hw, &mut self.plane_counts[..]);
+        hw.set_span_context(SpanPhase::Host, Some(op.lpn), Some(op.req as u64));
+        let (host_start, host_done) = play_chain(hw, counts, &op.host, now, true);
         if !op.host.is_empty() {
             // Queueing delay spans arrival → first flash step (the
             // pending-queue wait plus any residual resource wait),
@@ -917,24 +770,22 @@ impl SsdDevice {
             self.service_ms
                 .push(host_done.saturating_since(host_start).as_millis_f64());
         }
-        self.hw
-            .set_span_context(SpanPhase::Scan, Some(op.lpn), Some(op.req as u64));
-        let scan_release = self.play_chain(&op.scan, now, false);
+        hw.set_span_context(SpanPhase::Scan, Some(op.lpn), Some(op.req as u64));
+        let scan_release = play_chain(hw, counts, &op.scan, now, false).1;
         if scan_release > now {
             events.push(scan_release, None);
         }
-        self.hw
-            .set_span_context(SpanPhase::Gc, Some(op.lpn), Some(op.req as u64));
+        hw.set_span_context(SpanPhase::Gc, Some(op.lpn), Some(op.req as u64));
         let mut release = scan_release;
         let done = if self.config.background_gc {
-            let gc_release = self.play_chain(&op.gc, host_done, false);
+            let gc_release = play_chain(hw, counts, &op.gc, host_done, false).1;
             if gc_release > now {
                 events.push(gc_release, None);
             }
             release = release.max(gc_release);
             host_done
         } else {
-            let gc_done = self.play_chain(&op.gc, host_done, true);
+            let gc_done = play_chain(hw, counts, &op.gc, host_done, true).1;
             if !op.gc.is_empty() {
                 self.gc_block_ms
                     .push(gc_done.saturating_since(host_done).as_millis_f64());
@@ -979,30 +830,6 @@ impl SsdDevice {
             chained(gc)
         };
         chained(host) + unchained(scan) + gc_uw
-    }
-
-    /// NCQ-style replay.
-    #[deprecated(note = "use `run_with(requests, RunConfig::ncq(queue_depth))` instead")]
-    pub fn run_trace_ncq(&mut self, requests: &[HostRequest], queue_depth: usize) -> RunReport {
-        self.run(requests, ReplayMode::Ncq { queue_depth })
-    }
-
-    /// QoS replay with a caller-owned policy instance.
-    #[deprecated(
-        note = "use `run_with_policy(requests, RunConfig::default().queue_depth(depth), policy)` \
-                instead"
-    )]
-    pub fn run_qos(
-        &mut self,
-        requests: &[HostRequest],
-        queue_depth: usize,
-        policy: &mut dyn QosPolicy,
-    ) -> RunReport {
-        self.run_with_policy(
-            requests,
-            RunConfig::default().queue_depth(queue_depth),
-            policy,
-        )
     }
 
     /// NCQ-style reordering replay with a pluggable selection policy: page
@@ -1225,14 +1052,6 @@ impl SsdDevice {
         self.finish_report(requests.len() as u64, stats)
     }
 
-    /// Closed-loop replay: at most `queue_depth` requests are outstanding
-    /// at once — request *i* is issued at the later of its trace arrival
-    /// and the completion of request *i − queue_depth*.
-    #[deprecated(note = "use `run_with(requests, RunConfig::closed(queue_depth))` instead")]
-    pub fn run_trace_closed(&mut self, requests: &[HostRequest], queue_depth: usize) -> RunReport {
-        self.run(requests, ReplayMode::Closed { queue_depth })
-    }
-
     /// Begin an incremental-submission session: the host/device
     /// interleaving surface. Instead of handing the device a complete
     /// request slice, a driver (the `dloop-host` event loop) feeds
@@ -1245,7 +1064,7 @@ impl SsdDevice {
     /// Each submitted command books its flash work at its `issue` time,
     /// exactly as [`ReplayMode::Open`] books work at arrival — feeding an
     /// arrival-sorted slice with `issue == arrival` reproduces
-    /// `run(requests, ReplayMode::Open)` bit-for-bit, report fingerprint
+    /// `run_with(requests, RunConfig::open())` bit-for-bit, report fingerprint
     /// included (the degeneracy leg of claim C13 rides on this).
     pub fn begin_commands(&mut self) -> CommandSession<'_> {
         let lpn_space = self.flash.geometry().user_pages();
@@ -1301,7 +1120,7 @@ impl SsdDevice {
     /// away all timing and statistics afterwards. Used to reach GC steady
     /// state before measuring, like running a trace against a filled SSD.
     pub fn warm_up(&mut self, requests: &[HostRequest]) {
-        let _ = self.run(requests, ReplayMode::Open);
+        let _ = self.run_with(requests, RunConfig::open());
         self.reset_measurements();
     }
 
@@ -1368,6 +1187,116 @@ impl SsdDevice {
             ));
         }
         self.ftl.audit(&self.flash, &self.dir)
+    }
+}
+
+/// Playback timing of one page operation (see [`play_op`]).
+#[derive(Clone, Copy)]
+pub(crate) struct PlayedOp {
+    /// When the host chain's earliest step began.
+    pub(crate) host_start: SimTime,
+    /// The host chain's completion.
+    pub(crate) host_done: SimTime,
+    /// The page op's response instant: `host_done` under background GC,
+    /// the GC chain's release under synchronous GC.
+    pub(crate) done: SimTime,
+}
+
+/// Play one translated page operation of host request `req` issued at
+/// `issue` — chains given as `[scan, host, gc]` — on `model`: scan chain
+/// unchained at issue (housekeeping for unrelated planes contends for
+/// resources but never gates the response), host chain chained at issue,
+/// GC chain at the host completion (unchained under background GC,
+/// chained and response-extending otherwise). The sequential
+/// arrival-reserving drivers and the parallel engine's workers both
+/// serve page ops through this one function, so their playback orders
+/// cannot drift apart. `counts` is the per-plane op histogram.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn play_op(
+    model: &mut HardwareModel,
+    counts: &mut [u64],
+    req: u64,
+    lpn: u64,
+    issue: SimTime,
+    [scan, host, gc]: [&OpChain; 3],
+    background_gc: bool,
+) -> PlayedOp {
+    model.set_span_context(SpanPhase::Scan, Some(lpn), Some(req));
+    play_chain(model, counts, scan, issue, false);
+    model.set_span_context(SpanPhase::Host, Some(lpn), Some(req));
+    let (host_start, host_done) = play_chain(model, counts, host, issue, true);
+    model.set_span_context(SpanPhase::Gc, Some(lpn), Some(req));
+    let done = if background_gc {
+        // GC steps are only ordered per resource: a collection on plane A
+        // is independent of one on plane B, and the per-plane/per-channel
+        // timelines already serialise same-resource steps in chain order.
+        play_chain(model, counts, gc, host_done, false);
+        host_done
+    } else {
+        play_chain(model, counts, gc, host_done, true).1
+    };
+    PlayedOp {
+        host_start,
+        host_done,
+        done,
+    }
+}
+
+/// Reserve resources on `model` for each step of `chain`, starting no
+/// earlier than `at`, and count each touched plane in `counts` (the
+/// per-plane op histogram). With `chained`,
+/// each step additionally waits for the previous one (host dependency
+/// order); without it, steps are issued together and only resource
+/// timelines order them. This is the one chain player: every replay
+/// driver and the parallel engine's workers call it.
+///
+/// Return contract: `(first_start, release)`, where `first_start` is the
+/// minimum `start` across the chain's steps — with `chained: false`
+/// steps are issued concurrently and step 0 need not begin earliest —
+/// and `release` is the chain's maximum resource-timeline end: every
+/// plane and channel the chain touched is free again at (or before) that
+/// time, so `release` is also the correct wake time for schedulers gating
+/// on those resources (the wake-event contract in DESIGN.md). An empty
+/// chain returns `(at, at)`.
+pub(crate) fn play_chain(
+    model: &mut HardwareModel,
+    counts: &mut [u64],
+    chain: &OpChain,
+    at: SimTime,
+    chained: bool,
+) -> (SimTime, SimTime) {
+    let mut t = at;
+    let mut last = at;
+    let mut first_start: Option<SimTime> = None;
+    for step in chain.steps() {
+        let issue = if chained { t } else { at };
+        let completion = match *step {
+            FlashStep::Read { plane } => model.exec_read(plane, issue),
+            FlashStep::ReadRetry { plane, steps } => model.exec_read_retry(plane, issue, steps),
+            FlashStep::Write { plane } => model.exec_write(plane, issue),
+            FlashStep::Erase { plane } => model.exec_erase(plane, issue),
+            FlashStep::CopyBack { plane } => model.exec_copyback(plane, issue),
+            FlashStep::InterPlaneCopy { src, dst } => model.exec_interplane_copy(src, dst, issue),
+        };
+        first_start = Some(match first_start {
+            Some(f) => f.min(completion.start),
+            None => completion.start,
+        });
+        let (p, q) = step.planes();
+        counts[p as usize] += 1;
+        if let Some(q) = q {
+            counts[q as usize] += 1;
+        }
+        t = completion.end;
+        last = last.max(completion.end);
+    }
+    // With `chained`, each step starts at the previous step's end, so the
+    // final `t` is already the maximum resource release.
+    let first_start = first_start.unwrap_or(at);
+    if chained {
+        (first_start, t)
+    } else {
+        (first_start, last)
     }
 }
 
@@ -1568,7 +1497,7 @@ mod tests {
             read_req(300, 9, 1),
             write_req(900, 5, 1),
         ];
-        let batch = device().run(&requests, ReplayMode::Open);
+        let batch = device().run_with(&requests, RunConfig::open());
         let mut d = device();
         let mut session = d.begin_commands();
         for (i, r) in requests.iter().enumerate() {
@@ -1675,7 +1604,7 @@ mod tests {
 
     #[test]
     fn gated_queueing_reports_wait_samples() {
-        // Regression: `run_trace_gated` used to clone the wait/service/
+        // Regression: the gated replay used to clone the wait/service/
         // GC-block stats into its report without ever pushing samples, so
         // every gated report claimed a zero-sample latency decomposition.
         let mut d = device();
@@ -1747,6 +1676,26 @@ mod tests {
     }
 
     #[test]
+    fn replay_modes_convert_to_their_builder_spelling() {
+        let spell = |c: RunConfig| format!("{c:?}");
+        for (mode, builder) in [
+            (ReplayMode::Open, RunConfig::default()),
+            (ReplayMode::Gated, RunConfig::gated()),
+            (ReplayMode::Closed { queue_depth: 8 }, RunConfig::closed(8)),
+            (ReplayMode::Ncq { queue_depth: 4 }, RunConfig::ncq(4)),
+            (
+                ReplayMode::Qos {
+                    queue_depth: 16,
+                    policy: QosSpec::Deadline,
+                },
+                RunConfig::qos(QosSpec::Deadline).queue_depth(16),
+            ),
+        ] {
+            assert_eq!(spell(mode.into()), spell(builder), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn every_mode_records_the_queue_probe() {
         // 3 single-page requests + 1 zero-page request: each mode must log
         // one probe entry per admitted unit (requests for the reserving
@@ -1767,7 +1716,7 @@ mod tests {
                 policy: QosSpec::Priority,
             },
         ] {
-            let r = device().run(&reqs, mode);
+            let r = device().run_with(&reqs, mode.into());
             assert_eq!(r.queue_log.len(), 4, "mode {mode:?}");
             // The zero-page request is an instant in-and-out.
             assert!(r

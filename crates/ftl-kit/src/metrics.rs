@@ -359,6 +359,136 @@ impl RunReport {
     }
 }
 
+/// Order-sensitive digest of a [`RunReport`]: the locked metrics CSV
+/// row, the queue-depth timeline, the per-request completion log, and
+/// every measured field bit-exact (floats via `to_bits`, which the
+/// rounded CSV row would hide) — response/wait/service/GC-block
+/// statistics, the response histogram, per-plane op counts, hardware,
+/// FTL and media counters, flash totals, wear, busy times and the full
+/// queue-occupancy log. Equal digests ⇒ the reports agree on every
+/// measurement. `shard_timing` is deliberately excluded: wall time
+/// measures the machine, not the simulation. This is the one report
+/// fingerprint: claims C13/C15, the test suites and the benchmark all
+/// compare it.
+pub fn report_fingerprint(report: &RunReport) -> u64 {
+    let mut h = Fnv::new();
+    h.write_bytes(report.csv_row().as_bytes());
+    h.write_bytes(report.queue_depth_csv(64).as_bytes());
+    h.write(report.completions.len() as u64);
+    for &(req, arrival, done) in &report.completions {
+        h.write(req);
+        h.write(arrival.as_nanos());
+        h.write(done.as_nanos());
+    }
+    h.write_bytes(report.ftl_name.as_bytes());
+    for s in [
+        &report.response_ms,
+        &report.wait_ms,
+        &report.service_ms,
+        &report.gc_block_ms,
+    ] {
+        h.write(s.count());
+        h.write(s.sum().to_bits());
+        h.write(s.mean().to_bits());
+        h.write(s.min().unwrap_or(f64::NAN).to_bits());
+        h.write(s.max().unwrap_or(f64::NAN).to_bits());
+    }
+    h.write(report.response_hist_us.count());
+    for q in [0.5, 0.9, 0.99, 1.0] {
+        h.write(report.response_hist_us.quantile(q).to_bits());
+    }
+    let (hw, ftl, media) = (&report.hw, &report.ftl, &report.media);
+    for v in [
+        hw.reads,
+        hw.writes,
+        hw.erases,
+        hw.copybacks,
+        hw.interplane_copies,
+        hw.read_retry_steps,
+        ftl.gc_invocations,
+        ftl.copyback_moves,
+        ftl.external_moves,
+        ftl.parity_skips,
+        ftl.translation_reads,
+        ftl.translation_writes,
+        ftl.full_merges,
+        ftl.partial_merges,
+        ftl.switch_merges,
+        report.requests_completed,
+        report.pages_read,
+        report.pages_written,
+        report.total_erases,
+        report.total_programs,
+        report.total_skips,
+        report.wear.0 as u64,
+        report.wear.1.to_bits(),
+        report.wear.2 as u64,
+        report.sim_end.as_nanos(),
+        media.program_fails,
+        media.grown_bad_blocks,
+        media.factory_bad_blocks,
+        media.uncorrectable_reads,
+        media.read_retry_steps,
+        report.retry_ns,
+    ] {
+        h.write(v);
+    }
+    for counts in [
+        &report.plane_request_counts,
+        &report.plane_busy_ns,
+        &report.channel_busy_ns,
+        &media.retry_hist,
+    ] {
+        h.write(counts.len() as u64);
+        for &c in counts.iter() {
+            h.write(c);
+        }
+    }
+    h.write(report.queue_log.len() as u64);
+    for &(tenant, arrival, issue, done) in report.queue_log.tracked() {
+        h.write(tenant as u64);
+        h.write(arrival.as_nanos());
+        h.write(issue.as_nanos());
+        h.write(done.as_nanos());
+    }
+    h.finish()
+}
+
+/// Minimal FNV-1a accumulator behind [`report_fingerprint`] (and the host
+/// stack's report digest; the workspace is dependency-free).
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// An empty digest.
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Fold `bytes`, in order.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Fold `v` as eight little-endian bytes.
+    pub fn write(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,5 +637,36 @@ mod tests {
         let cols: Vec<String> = r.csv_row().split(',').map(str::to_string).collect();
         assert_eq!(cols[34], "123456789000");
         assert_eq!(cols[35], "42");
+    }
+
+    #[test]
+    fn fnv_distinguishes_order() {
+        let mut a = Fnv::new();
+        a.write(1);
+        a.write(2);
+        let mut b = Fnv::new();
+        b.write(2);
+        b.write(1);
+        assert_ne!(a.finish(), b.finish());
+    }
+
+    /// The fingerprint sees fields the rounded CSV row hides, and ignores
+    /// wall-clock shard timing.
+    #[test]
+    fn fingerprint_folds_exact_fields_but_not_wall_time() {
+        let base = report_fingerprint(&report());
+        let mut r = report();
+        r.wait_ms.push(1e-12);
+        assert_ne!(report_fingerprint(&r), base, "wait samples");
+        let mut r = report();
+        r.plane_busy_ns[3] += 1;
+        assert_ne!(report_fingerprint(&r), base, "plane busy time");
+        let mut r = report();
+        r.queue_log
+            .track(1, SimTime::ZERO, SimTime::ZERO, SimTime::ZERO);
+        assert_ne!(report_fingerprint(&r), base, "queue log");
+        let mut r = report();
+        r.shard_timing = Some(ShardTiming::default());
+        assert_eq!(report_fingerprint(&r), base, "shard timing");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! # How a policy plugs in
 //!
-//! The unified driver ([`SsdDevice::run`](crate::device::SsdDevice::run))
+//! The unified driver ([`SsdDevice::run_with`](crate::device::SsdDevice::run_with))
 //! keeps one readiness lane per plane. A [`QosPolicy`] influences exactly
 //! two decisions, through exactly two pure functions:
 //!

@@ -10,7 +10,7 @@
 //! request by request.
 
 use crate::cache::CacheStats;
-use dloop_ftl_kit::metrics::RunReport;
+use dloop_ftl_kit::metrics::{report_fingerprint, Fnv, RunReport};
 use dloop_simkit::trace::{QueueDepthProbe, Span, TraceSink};
 use dloop_simkit::SimTime;
 
@@ -110,7 +110,7 @@ impl QueueStats {
 /// Everything a [`HostStack::run`](crate::HostStack::run) measures.
 #[derive(Debug, Clone)]
 pub struct HostRunReport {
-    /// The wrapped device report (exactly what `SsdDevice::run` returned
+    /// The wrapped device report (exactly what `SsdDevice::run_with` returned
     /// for the forwarded command stream).
     pub device: RunReport,
     /// One timeline per host request, trace order.
@@ -253,49 +253,6 @@ impl HostRunReport {
     }
 }
 
-/// Order-sensitive digest of a device [`RunReport`]: the locked metrics
-/// CSV row, the queue-depth timeline, and the per-request completion log.
-/// Two reports with equal digests agree on every surfaced measurement —
-/// this is the fingerprint claim C13's pass-through identity compares
-/// (the exhaustive field-by-field fingerprint lives in
-/// `tests/replay_modes.rs`).
-pub fn report_fingerprint(report: &RunReport) -> u64 {
-    let mut h = Fnv::new();
-    h.write_bytes(report.csv_row().as_bytes());
-    h.write_bytes(report.queue_depth_csv(64).as_bytes());
-    h.write(report.completions.len() as u64);
-    for &(req, arrival, done) in &report.completions {
-        h.write(req);
-        h.write(arrival.as_nanos());
-        h.write(done.as_nanos());
-    }
-    h.finish()
-}
-
-/// Minimal FNV-1a accumulator (the workspace is dependency-free).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,16 +320,5 @@ mod tests {
         assert_eq!(q.mean_batch(), 4.0);
         assert_eq!(q.mean_coalesced(), 3.0);
         assert_eq!(QueueStats::default().mean_batch(), 0.0);
-    }
-
-    #[test]
-    fn fnv_distinguishes_order() {
-        let mut a = Fnv::new();
-        a.write(1);
-        a.write(2);
-        let mut b = Fnv::new();
-        b.write(2);
-        b.write(1);
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -21,7 +21,7 @@
 //!    backlogged command — true per-queue windows, with SQ backpressure
 //!    delaying the syscall-visible `submit` instant. Device-queued modes
 //!    (`Gated`/`Closed`/`Ncq`/`Qos`) run the staged pipeline instead:
-//!    one ordinary [`SsdDevice::run`] over the forwarded stream (their
+//!    one ordinary [`SsdDevice::run_with`] over the forwarded stream (their
 //!    own window is the only bound; the configured host depth is
 //!    surfaced on the report, never silently dropped).
 //! 5. **Completion queues** — completions aggregate under interrupt
@@ -354,7 +354,7 @@ impl HostStack {
         }
     }
 
-    /// Stages 4–6, staged flavour: one batch [`SsdDevice::run`] over the
+    /// Stages 4–6, staged flavour: one batch [`SsdDevice::run_with`] over the
     /// forwarded stream, then push-driven interrupt coalescing over the
     /// completion log in `(done, command)` order.
     fn drive_staged(
@@ -366,8 +366,7 @@ impl HostStack {
         let cfg = &self.config;
         let nq = cfg.queues as usize;
         let fwd_reqs: Vec<HostRequest> = forwarded.iter().map(|c| c.req).collect();
-        let run_cfg = RunConfig::from(eff_mode).shards(cfg.device_shards);
-        let report = device.run_with(&fwd_reqs, run_cfg);
+        let report = device.run_with(&fwd_reqs, RunConfig::from(eff_mode));
 
         let mut done_of: Vec<SimTime> = vec![SimTime::ZERO; forwarded.len()];
         let mut seen = vec![false; forwarded.len()];

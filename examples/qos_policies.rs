@@ -70,22 +70,16 @@ fn main() {
 
     // The two bounds every policy is pinned between (claim C12).
     let mut d = fresh();
-    let r = d.run(&trace.requests, ReplayMode::Ncq { queue_depth: 1 });
+    let r = d.run_with(&trace.requests, RunConfig::ncq(1));
     print_row("in-order (bound)", &r);
     let mut d = fresh();
-    let r = d.run(&trace.requests, ReplayMode::Gated);
+    let r = d.run_with(&trace.requests, RunConfig::gated());
     print_row("gated (oracle)", &r);
 
     // Every built-in policy through the embeddable spec enum…
     for spec in QosSpec::all() {
         let mut d = fresh();
-        let r = d.run(
-            &trace.requests,
-            ReplayMode::Qos {
-                queue_depth: 32,
-                policy: spec,
-            },
-        );
+        let r = d.run_with(&trace.requests, RunConfig::qos(spec).queue_depth(32));
         print_row(spec.name(), &r);
         d.audit().unwrap();
     }

@@ -157,11 +157,13 @@ rm -rf "$host_out"
 
 echo "==> shard-identity smoke (2-shard vs sequential fingerprint, fast path + fallback)"
 # The parallel engine's identity gate (claim C15) at property-test
-# strength runs under `cargo test` above; this smoke re-runs the two
-# named anchors release-fast: the plane-local fast path must ENGAGE
+# strength runs under `cargo test` above; this smoke re-runs the named
+# anchors release-fast: the plane-local fast path must ENGAGE
 # (witnessed by RunReport::shard_timing) and match sequential
-# bit-for-bit, and the all-mode corpus pins the windowed fallback.
-cargo test -q --release --offline --test replay_modes plane_local_fast_path_engages
+# bit-for-bit, a worker that aborts mid-run must fall back to an
+# identical sequential replay, and the all-mode corpus pins the
+# sequential fallback for every run the fast path refuses.
+cargo test -q --release --offline --test replay_modes plane_local_fast_path_
 cargo test -q --release --offline --test replay_modes sharded_replay_is_bit_identical
 
 echo "==> shard sweep (BENCH_shard.json perf trajectory)"
@@ -241,6 +243,16 @@ power_trace_header="$(head -n 1 "$power_out/trace_power.csv")"
     exit 1
 }
 rm -rf "$power_out"
+
+echo "==> perfbench build + smoke (the benchmark compiles against the public API)"
+# perfbench/ is a standalone package (its own workspace) that imports
+# the crates' public items; building and briefly running it here catches
+# a removed or renamed item the benchmark still uses. One traced
+# fin1_paper pass must exit 0 (its own checks: audit, completion
+# counts, traced == untraced fingerprints).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload fin1_paper --seed 1 --seconds 1 --trace 1 >/dev/null
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \

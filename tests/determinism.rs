@@ -8,7 +8,7 @@ use dloop_repro::dloop_ftl::{DloopFtl, HotPlaneDloopFtl};
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::ftl::Ftl;
-use dloop_repro::ftl_kit::metrics::RunReport;
+use dloop_repro::ftl_kit::metrics::{report_fingerprint, RunReport};
 use dloop_repro::workloads::WorkloadProfile;
 
 fn build(kind: FtlKind, config: &SsdConfig) -> Box<dyn Ftl> {
@@ -30,17 +30,6 @@ fn run_once(kind: FtlKind, seed: u64) -> RunReport {
     device.run_with(&trace.requests, RunConfig::open())
 }
 
-fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64, String, Vec<u64>) {
-    (
-        r.total_programs,
-        r.total_erases,
-        r.total_skips,
-        r.sim_end.as_nanos(),
-        format!("{:?}", r.ftl),
-        r.plane_request_counts.clone(),
-    )
-}
-
 #[test]
 fn identical_seeds_are_bit_identical_for_every_ftl() {
     for kind in [
@@ -52,7 +41,7 @@ fn identical_seeds_are_bit_identical_for_every_ftl() {
     ] {
         let a = run_once(kind, 42);
         let b = run_once(kind, 42);
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{kind:?}");
+        assert_eq!(report_fingerprint(&a), report_fingerprint(&b), "{kind:?}");
         assert_eq!(
             a.mean_response_time_ms().to_bits(),
             b.mean_response_time_ms().to_bits(),

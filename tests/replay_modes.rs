@@ -3,9 +3,8 @@
 //! The device offers five replay modes — open arrivals, the FlashSim
 //! priority list (gated), a bounded host queue (closed), NCQ-style
 //! bounded reordering and the QoS-policy window — all selected through
-//! the builder-style `RunConfig` consumed by `SsdDevice::run_with` (the
-//! legacy `run_trace*`/`run_qos` names remain as deprecated shims, pinned
-//! against their `RunConfig` equivalents below). They model different
+//! the builder-style `RunConfig` consumed by `SsdDevice::run_with`. They
+//! model different
 //! host-side scheduling, but all of them translate the same requests in
 //! the same order, so they must agree on everything *stateful*: pages
 //! served, flash page states, per-block erase counts, and the
@@ -14,10 +13,11 @@
 //! requests included, which is the regression gate for the closed
 //! driver's freed-slot drain.
 //!
-//! The arrival-reserving modes additionally carry the sharded-engine
-//! identity (claim C15): `RunConfig::shards(n)` must leave the full
-//! report fingerprint and flash digest bit-identical to the sequential
-//! engine, for every replay mode, any shard count, tracing on or off.
+//! Every mode additionally carries the sharded-engine identity (claim
+//! C15): `RunConfig::shards(n)` must leave the report fingerprint and
+//! flash digest bit-identical to the sequential engine, for any shard
+//! count, tracing on or off — whether the plane-local fast path serves
+//! the run, refuses it up front, or aborts mid-run.
 //!
 //! The gated scheduler additionally carries the wake-event contract:
 //! every resource-busy interval ends with a scheduled wake, so a replay
@@ -47,12 +47,12 @@ use dloop_repro::faults::FaultConfig;
 use dloop_repro::ftl_kit::config::{FtlKind, SsdConfig};
 use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::ftl::Ftl;
-use dloop_repro::ftl_kit::metrics::RunReport;
+use dloop_repro::ftl_kit::metrics::{report_fingerprint, RunReport};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::attribution;
-use dloop_repro::simkit::{Histogram, OnlineStats, SimDuration, SimTime};
+use dloop_repro::simkit::{SimDuration, SimTime};
 use dloop_repro::{check_assert, check_assert_eq};
 use std::fmt::Write as _;
 
@@ -168,83 +168,6 @@ fn flash_digest(device: &SsdDevice) -> String {
     s
 }
 
-fn push_stats(fp: &mut Vec<u64>, s: &OnlineStats) {
-    fp.push(s.count());
-    fp.push(s.sum().to_bits());
-    fp.push(s.mean().to_bits());
-    fp.push(s.min().unwrap_or(f64::NAN).to_bits());
-    fp.push(s.max().unwrap_or(f64::NAN).to_bits());
-}
-
-fn push_hist(fp: &mut Vec<u64>, h: &Histogram) {
-    fp.push(h.count());
-    for q in [0.5, 0.9, 0.99, 1.0] {
-        fp.push(h.quantile(q).to_bits());
-    }
-}
-
-/// Every field of a [`RunReport`], bit-exact (floats via `to_bits`).
-fn fingerprint(r: &RunReport) -> Vec<u64> {
-    let mut fp = Vec::new();
-    fp.push(r.ftl_name.len() as u64);
-    fp.push(r.requests_completed);
-    fp.push(r.pages_read);
-    fp.push(r.pages_written);
-    push_stats(&mut fp, &r.response_ms);
-    push_hist(&mut fp, &r.response_hist_us);
-    fp.extend(&r.plane_request_counts);
-    fp.extend([
-        r.hw.reads,
-        r.hw.writes,
-        r.hw.erases,
-        r.hw.copybacks,
-        r.hw.interplane_copies,
-        r.hw.read_retry_steps,
-    ]);
-    fp.extend([
-        r.ftl.gc_invocations,
-        r.ftl.copyback_moves,
-        r.ftl.external_moves,
-        r.ftl.parity_skips,
-        r.ftl.translation_reads,
-        r.ftl.translation_writes,
-        r.ftl.full_merges,
-        r.ftl.partial_merges,
-        r.ftl.switch_merges,
-    ]);
-    fp.extend([r.total_erases, r.total_programs, r.total_skips]);
-    fp.extend([r.wear.0 as u64, r.wear.1.to_bits(), r.wear.2 as u64]);
-    fp.push(r.sim_end.as_nanos());
-    fp.extend(&r.plane_busy_ns);
-    fp.extend(&r.channel_busy_ns);
-    push_stats(&mut fp, &r.wait_ms);
-    push_stats(&mut fp, &r.service_ms);
-    push_stats(&mut fp, &r.gc_block_ms);
-    fp.extend([
-        r.media.program_fails,
-        r.media.grown_bad_blocks,
-        r.media.factory_bad_blocks,
-        r.media.uncorrectable_reads,
-        r.media.read_retry_steps,
-    ]);
-    fp.extend(&r.media.retry_hist);
-    fp.push(r.retry_ns);
-    fp.push(r.queue_log.len() as u64);
-    for &(tenant, arrival, issue, done) in r.queue_log.tracked() {
-        fp.extend([
-            tenant as u64,
-            arrival.as_nanos(),
-            issue.as_nanos(),
-            done.as_nanos(),
-        ]);
-    }
-    fp.push(r.completions.len() as u64);
-    for &(req, arrival, done) in &r.completions {
-        fp.extend([req, arrival.as_nanos(), done.as_nanos()]);
-    }
-    fp
-}
-
 fn hw_op_total(r: &RunReport) -> u64 {
     r.hw.reads + r.hw.writes + r.hw.erases + r.hw.copybacks + r.hw.interplane_copies
 }
@@ -311,8 +234,8 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
             // Unbounded closed queue == open arrivals, field for field —
             // including the queue probe, which both record per request.
             check_assert_eq!(
-                fingerprint(&r_open),
-                fingerprint(&r_closed),
+                report_fingerprint(&r_open),
+                report_fingerprint(&r_closed),
                 "{:?}: closed(∞) must degenerate to open replay",
                 kind
             );
@@ -321,118 +244,14 @@ fn replay_modes_agree_on_served_work_and_flash_state() {
     });
 }
 
-/// API-redesign contract: every legacy entry point — the `ReplayMode`
-/// dispatcher and each `#[deprecated]` wrapper — is bit-identical to its
-/// `RunConfig` spelling, and `RunConfig::default()` reproduces
-/// `ReplayMode::Open` exactly.
-#[test]
-#[allow(deprecated)]
-fn legacy_entry_points_match_their_run_config_equivalents() {
-    let gen = check::vec_of(op_gen(600), 1..120);
-    Checker::new().cases(8).run(&gen, |ops| {
-        let reqs = requests(ops);
-        let config = SsdConfig::micro_gc_test();
-        let fresh = || SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-        let depth = 8usize;
-
-        // (wrapper replay, ReplayMode, RunConfig) triples per mode.
-        type Runner = Box<dyn Fn(&mut SsdDevice) -> RunReport>;
-        let reqs2 = reqs.clone();
-        let reqs3 = reqs.clone();
-        let reqs4 = reqs.clone();
-        let reqs5 = reqs.clone();
-        let modes: Vec<(&str, Runner, ReplayMode, RunConfig)> = vec![
-            (
-                "open",
-                Box::new(move |d: &mut SsdDevice| d.run_trace(&reqs2)),
-                ReplayMode::Open,
-                RunConfig::open(),
-            ),
-            (
-                "gated",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_gated(&reqs3)),
-                ReplayMode::Gated,
-                RunConfig::gated(),
-            ),
-            (
-                "closed",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_closed(&reqs4, depth)),
-                ReplayMode::Closed { queue_depth: depth },
-                RunConfig::closed(depth),
-            ),
-            (
-                "ncq",
-                Box::new(move |d: &mut SsdDevice| d.run_trace_ncq(&reqs5, depth)),
-                ReplayMode::Ncq { queue_depth: depth },
-                RunConfig::ncq(depth),
-            ),
-        ];
-        for (name, wrapper, replay_mode, cfg) in modes {
-            let mut d_w = fresh();
-            let r_w = wrapper(&mut d_w);
-            let mut d_m = fresh();
-            let r_m = d_m.run(&reqs, replay_mode);
-            let mut d_c = fresh();
-            let r_c = d_c.run_with(&reqs, cfg);
-            check_assert_eq!(
-                fingerprint(&r_w),
-                fingerprint(&r_c),
-                "deprecated wrapper and RunConfig disagree ({})",
-                name
-            );
-            check_assert_eq!(
-                fingerprint(&r_m),
-                fingerprint(&r_c),
-                "ReplayMode dispatch and RunConfig disagree ({})",
-                name
-            );
-            check_assert_eq!(
-                flash_digest(&d_w),
-                flash_digest(&d_c),
-                "flash state diverged ({})",
-                name
-            );
-        }
-
-        // The QoS wrapper: run_qos(reqs, depth, &mut policy) must equal
-        // both run_with_policy and the owning RunConfig::qos spelling.
-        let mut d_w = fresh();
-        let mut policy = dloop_repro::ftl_kit::sched::NcqPolicy;
-        let r_w = d_w.run_qos(&reqs, depth, &mut policy);
-        let mut d_p = fresh();
-        let r_p = d_p.run_with_policy(
-            &reqs,
-            RunConfig::default().queue_depth(depth),
-            &mut dloop_repro::ftl_kit::sched::NcqPolicy,
-        );
-        let mut d_c = fresh();
-        let r_c = d_c.run_with(&reqs, RunConfig::qos(QosSpec::Ncq).queue_depth(depth));
-        check_assert_eq!(fingerprint(&r_w), fingerprint(&r_p), "run_qos wrapper");
-        check_assert_eq!(fingerprint(&r_p), fingerprint(&r_c), "qos spellings");
-
-        // Defaults are Open: `run_with(reqs, RunConfig::default())` is
-        // bit-identical to `run(reqs, ReplayMode::Open)`.
-        let mut d_o = fresh();
-        let r_o = d_o.run(&reqs, ReplayMode::Open);
-        let mut d_d = fresh();
-        let r_d = d_d.run_with(&reqs, RunConfig::default());
-        check_assert_eq!(
-            fingerprint(&r_o),
-            fingerprint(&r_d),
-            "RunConfig::default() must reproduce ReplayMode::Open"
-        );
-        check_assert_eq!(flash_digest(&d_o), flash_digest(&d_d));
-        Ok(())
-    });
-}
-
 /// The sharded engine identity (claim C15): for every replay mode and
 /// any shard count — including counts above the channel count, which
-/// clamp — `RunConfig::shards(n)` leaves the full report fingerprint and
-/// the flash digest bit-identical to the sequential engine. The config
-/// here has four channels so a 4-shard run genuinely fans out; the
-/// queueing modes (gated/NCQ/QoS) fall back to the sequential scheduler
-/// by design and must be identical trivially.
+/// clamp — `RunConfig::shards(n)` leaves the report fingerprint and the
+/// flash digest bit-identical to the sequential engine. The config here
+/// has four channels so a 4-shard run could fan out; on these fresh,
+/// partially cached devices the fast path refuses up front, and closed
+/// admission and the queueing modes (gated/NCQ/QoS) replay sequentially
+/// by design, so every run must be identical trivially.
 #[test]
 fn sharded_replay_is_bit_identical_to_sequential() {
     let gen = check::vec_of(op_gen(1200), 1..200);
@@ -459,8 +278,8 @@ fn sharded_replay_is_bit_identical_to_sequential() {
                     let mut par_dev = fresh();
                     let par = par_dev.run_with(&reqs, cfg().shards(shards));
                     check_assert_eq!(
-                        fingerprint(&seq),
-                        fingerprint(&par),
+                        report_fingerprint(&seq),
+                        report_fingerprint(&par),
                         "{:?} {} sharded({}) report diverged",
                         kind,
                         name,
@@ -484,16 +303,12 @@ fn sharded_replay_is_bit_identical_to_sequential() {
     });
 }
 
-/// The plane-local fast path (DESIGN.md §3f) must actually *engage* —
-/// not just fall back to the windowed engine — when its preconditions
-/// hold: open arrivals, a fully-resident CMT, no media model, and every
-/// plane at or above the GC threshold. `RunReport::shard_timing` is the
-/// witness (only the fast path records it). The run ages the device
-/// into steady GC first, overwrites a 90 % hot region so collections
-/// keep every plane above threshold, and then checks the served run is
-/// bit-identical to sequential and leaves an auditable device.
-#[test]
-fn plane_local_fast_path_engages_and_is_bit_identical() {
+/// A 4-channel micro device whose CMT holds the whole map, aged by a
+/// sequential fill of `fill_pct` % of its user space, plus 3 000 uniform
+/// single-page overwrites of that filled region — the regime in which
+/// DLOOP attests plane-local translation (DESIGN.md §3f). Returns a
+/// constructor for freshly aged devices and the overwrite trace.
+fn aged_full_cmt(fill_pct: u64) -> (impl Fn() -> SsdDevice, Vec<HostRequest>) {
     use dloop_repro::workloads::synth::{sequential_fill, uniform_random, UniformParams};
     let base = SsdConfig {
         channels: 4,
@@ -503,32 +318,46 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
         cmt_capacity: base.geometry().user_pages() as usize,
         ..base
     };
-    let geometry = config.geometry();
-    let fill = sequential_fill(geometry.user_pages(), 0.9, 16);
+    let user_pages = config.geometry().user_pages();
+    let fill = sequential_fill(user_pages, fill_pct as f64 / 100.0, 16);
     let trace = uniform_random(
         &UniformParams {
             requests: 3_000,
             write_ratio: 1.0,
             pages_per_req: 1,
-            space_pages: geometry.user_pages() * 9 / 10,
+            space_pages: user_pages * fill_pct / 100,
             rate_per_sec: 1e9,
         },
         7,
     );
-    let fresh = || {
+    let fresh = move || {
         let mut d = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
         d.run_with(&fill.requests, RunConfig::open());
         d
     };
+    (fresh, trace.requests)
+}
+
+/// The plane-local fast path (DESIGN.md §3f) must actually *engage* —
+/// not just fall back to sequential replay — when its preconditions
+/// hold: open arrivals, a fully-resident CMT, no media model, and every
+/// plane at or above the GC threshold. `RunReport::shard_timing` is the
+/// witness (only the fast path records it). The run ages the device
+/// into steady GC first, overwrites a 90 % hot region so collections
+/// keep every plane above threshold, and then checks the served run is
+/// bit-identical to sequential and leaves an auditable device.
+#[test]
+fn plane_local_fast_path_engages_and_is_bit_identical() {
+    let (fresh, trace) = aged_full_cmt(90);
     let mut seq_dev = fresh();
-    let seq = seq_dev.run_with(&trace.requests, RunConfig::open());
+    let seq = seq_dev.run_with(&trace, RunConfig::open());
     assert!(
         seq.shard_timing.is_none(),
         "sequential runs must not report shard timing"
     );
     for shards in [2usize, 4] {
         let mut par_dev = fresh();
-        let par = par_dev.run_with(&trace.requests, RunConfig::open().shards(shards));
+        let par = par_dev.run_with(&trace, RunConfig::open().shards(shards));
         let timing = par
             .shard_timing
             .as_ref()
@@ -536,8 +365,8 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
         assert_eq!(timing.worker_ms.len(), shards);
         assert!(timing.critical_path_ms() > 0.0);
         assert_eq!(
-            fingerprint(&seq),
-            fingerprint(&par),
+            report_fingerprint(&seq),
+            report_fingerprint(&par),
             "fast-path report diverged at {shards} shards"
         );
         assert_eq!(
@@ -549,47 +378,79 @@ fn plane_local_fast_path_engages_and_is_bit_identical() {
     }
 }
 
-/// Sharded tracing merges per-shard span buffers back into the exact
+/// The fast path's abort branch: on a 99 %-filled device the FTL still
+/// attests plane-local translation up front, but the overwrites drive
+/// some plane below the GC threshold mid-run, a worker detects the
+/// impurity, every fork is discarded and the run replays sequentially.
+/// The result must be indistinguishable from a sequential run: no shard
+/// timing, the same report fingerprint and flash digest, and a passing
+/// audit.
+#[test]
+fn plane_local_fast_path_aborts_to_an_identical_sequential_replay() {
+    let (fresh, trace) = aged_full_cmt(99);
+    let mut seq_dev = fresh();
+    let seq = seq_dev.run_with(&trace, RunConfig::open());
+    let mut par_dev = fresh();
+    assert!(
+        par_dev.ftl().shard_translation_ready(par_dev.flash()),
+        "the FTL must attest readiness, so the fast path starts"
+    );
+    let par = par_dev.run_with(&trace, RunConfig::open().shards(2));
+    assert!(
+        par.shard_timing.is_none(),
+        "a worker must abort the fast path on this run"
+    );
+    assert_eq!(report_fingerprint(&seq), report_fingerprint(&par));
+    assert_eq!(flash_digest(&seq_dev), flash_digest(&par_dev));
+    par_dev.audit().unwrap_or_else(|e| panic!("audit: {e}"));
+}
+
+/// Fast-path tracing forwards the per-shard span buffers into the exact
 /// sequential span stream — same spans, same order — and tracing stays
 /// pure observation (identical report fingerprint) under sharding.
 #[test]
 fn sharded_tracing_reproduces_the_sequential_span_stream() {
     use dloop_repro::simkit::trace::{span_jsonl, BufferSink};
-    let gen = check::vec_of(op_gen(900), 1..150);
-    let config = SsdConfig {
-        channels: 4,
-        ..SsdConfig::micro_gc_test()
+    let (fresh, trace) = aged_full_cmt(90);
+    let spans_of = |shards: usize| {
+        let mut device = fresh();
+        let cfg = RunConfig::open()
+            .shards(shards)
+            .attach_sink(Box::new(BufferSink::new()));
+        let report = device.run_with(&trace, cfg);
+        let buf = device
+            .detach_sink()
+            .expect("sink attached")
+            .into_any()
+            .downcast::<BufferSink>()
+            .expect("buffer sink type");
+        let stream: Vec<String> = buf.spans().iter().map(span_jsonl).collect();
+        (stream, report)
     };
-    Checker::new().cases(6).run(&gen, |ops| {
-        let reqs = requests(ops);
-        let spans_of = |shards: usize| {
-            let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let cfg = RunConfig::closed(6)
-                .shards(shards)
-                .attach_sink(Box::new(BufferSink::new()));
-            let report = device.run_with(&reqs, cfg);
-            let buf = device
-                .detach_sink()
-                .expect("sink attached")
-                .into_any()
-                .downcast::<BufferSink>()
-                .expect("buffer sink type");
-            let stream: Vec<String> = buf.spans().iter().map(span_jsonl).collect();
-            (stream, report)
-        };
-        let (seq_stream, seq_report) = spans_of(1);
-        let (par_stream, par_report) = spans_of(4);
-        check_assert_eq!(
-            fingerprint(&seq_report),
-            fingerprint(&par_report),
-            "tracing must stay pure under sharding"
+    let untraced = fresh().run_with(&trace, RunConfig::open());
+    let (seq_stream, seq_report) = spans_of(1);
+    assert!(!seq_stream.is_empty(), "the run must record spans");
+    assert_eq!(
+        report_fingerprint(&untraced),
+        report_fingerprint(&seq_report),
+        "tracing must stay pure"
+    );
+    for shards in [2usize, 4] {
+        let (par_stream, par_report) = spans_of(shards);
+        assert!(
+            par_report.shard_timing.is_some(),
+            "the plane-local fast path must serve the traced run at {shards} shards"
         );
-        check_assert_eq!(seq_stream.len(), par_stream.len(), "span counts");
+        assert_eq!(
+            report_fingerprint(&seq_report),
+            report_fingerprint(&par_report),
+            "tracing must stay pure under {shards} shards"
+        );
+        assert_eq!(seq_stream.len(), par_stream.len(), "span counts");
         for (i, (s, p)) in seq_stream.iter().zip(&par_stream).enumerate() {
-            check_assert_eq!(s, p, "span {} diverged", i);
+            assert_eq!(s, p, "span {i} diverged at {shards} shards");
         }
-        Ok(())
-    });
+    }
 }
 
 /// The pass-through host stack is pure forwarding: wrapping the device
@@ -623,13 +484,13 @@ fn passthrough_host_stack_is_bit_identical_to_the_raw_device() {
         ];
         for mode in modes {
             let mut d_raw = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_raw = d_raw.run(&reqs, mode);
+            let r_raw = d_raw.run_with(&reqs, mode.into());
             let mut d_host = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
             let stack = HostStack::new(HostConfig::passthrough());
             let host = stack.run(&mut d_host, &reqs, mode);
             check_assert_eq!(
-                fingerprint(&r_raw),
-                fingerprint(&host.device),
+                report_fingerprint(&r_raw),
+                report_fingerprint(&host.device),
                 "pass-through report diverged ({:?})",
                 mode
             );
@@ -741,7 +602,6 @@ fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
             split_pages: 2,
             merge: true,
             drain_cache: true,
-            device_shards: 1,
         };
         let mut d_live = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
         let live = HostStack::new(host_cfg.clone()).run(&mut d_live, &reqs, ReplayMode::Open);
@@ -754,8 +614,8 @@ fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
             "unbounded interleaved run diverged from the staged pipeline"
         );
         check_assert_eq!(
-            fingerprint(&live.device),
-            fingerprint(&staged.device),
+            report_fingerprint(&live.device),
+            report_fingerprint(&staged.device),
             "device reports diverged underneath"
         );
         check_assert_eq!(
@@ -763,68 +623,6 @@ fn unbounded_interleaved_loop_reproduces_the_staged_pipeline() {
             flash_digest(&d_staged),
             "flash state diverged underneath"
         );
-        Ok(())
-    });
-}
-
-/// `HostConfig::device_shards` is wall-clock-only: a staged host run
-/// whose device plays back on four shards produces a host report
-/// fingerprint (and device report, and flash state) bit-identical to
-/// the sequential `device_shards = 1` run, with the full host pipeline
-/// — cache, split/merge, doorbell batching, interrupt coalescing —
-/// turned on.
-#[test]
-fn staged_host_runs_are_shard_invariant() {
-    use dloop_repro::host::{HostConfig, HostStack};
-
-    let gen = (check::vec_of(op_gen(600), 1..100), check::u8s(1..4));
-    Checker::new().cases(6).run(&gen, |(ops, queues)| {
-        let reqs = tag_tenants(requests(ops), *queues as u16);
-        let config = SsdConfig {
-            channels: 4,
-            ..SsdConfig::micro_gc_test()
-        };
-        let host_cfg = HostConfig {
-            queues: *queues as u32,
-            doorbell_batch: 3,
-            coalesce_threshold: 3,
-            coalesce_timeout: Some(SimDuration::from_micros(60)),
-            cache_pages: 96,
-            dirty_ratio: 0.5,
-            cache_hit_ns: 900,
-            split_pages: 2,
-            merge: true,
-            drain_cache: true,
-            ..HostConfig::passthrough()
-        };
-        for mode in [ReplayMode::Open, ReplayMode::Closed { queue_depth: 6 }] {
-            let mut d_seq = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let seq = HostStack::new(host_cfg.clone()).run_staged(&mut d_seq, &reqs, mode);
-            let mut d_par = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let par = HostStack::new(HostConfig {
-                device_shards: 4,
-                ..host_cfg.clone()
-            })
-            .run_staged(&mut d_par, &reqs, mode);
-            check_assert_eq!(
-                seq.fingerprint(),
-                par.fingerprint(),
-                "host report diverged under device_shards = 4 ({:?})",
-                mode
-            );
-            check_assert_eq!(
-                fingerprint(&seq.device),
-                fingerprint(&par.device),
-                "device reports diverged under device_shards = 4 ({:?})",
-                mode
-            );
-            check_assert_eq!(
-                flash_digest(&d_seq),
-                flash_digest(&d_par),
-                "flash state diverged under device_shards = 4 ({:?})",
-                mode
-            );
-        }
         Ok(())
     });
 }
@@ -850,8 +648,8 @@ fn tracing_never_perturbs_reports() {
                 let (_, off) = run_mode(FtlKind::Dloop, config, &reqs, mode, false);
                 let (mut traced, on) = run_mode(FtlKind::Dloop, config, &reqs, mode, true);
                 check_assert_eq!(
-                    fingerprint(&off),
-                    fingerprint(&on),
+                    report_fingerprint(&off),
+                    report_fingerprint(&on),
                     "tracing changed the report ({:?}, {})",
                     mode,
                     label
@@ -923,8 +721,8 @@ fn ncq_replay_is_deterministic() {
         let (d_a, r_a) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(32), false);
         let (d_b, r_b) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(32), false);
         check_assert_eq!(
-            fingerprint(&r_a),
-            fingerprint(&r_b),
+            report_fingerprint(&r_a),
+            report_fingerprint(&r_b),
             "two NCQ replays of the same trace diverged"
         );
         check_assert_eq!(
@@ -970,8 +768,8 @@ fn ncq_depth_one_is_gated_without_skipping() {
         let (d_gated, r_gated) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Gated, false);
         let (d_ncq, r_ncq) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(1), false);
         check_assert_eq!(
-            fingerprint(&r_gated),
-            fingerprint(&r_ncq),
+            report_fingerprint(&r_gated),
+            report_fingerprint(&r_ncq),
             "NCQ{{1}} must replay exactly like the unskippable gated FIFO"
         );
         check_assert_eq!(flash_digest(&d_gated), flash_digest(&d_ncq));
@@ -1050,7 +848,8 @@ fn tag_tenants(mut reqs: Vec<HostRequest>, tenants: u16) -> Vec<HostRequest> {
 }
 
 /// A policy that never discriminates degenerates to plain NCQ,
-/// bit-for-bit. Three spellings of "never discriminates": the explicit
+/// bit-for-bit, whether named by its [`QosSpec`] or handed over as an
+/// owned instance through `run_with_policy`. Three spellings of "never discriminates": the explicit
 /// [`QosSpec::Ncq`] no-op on any trace; the deadline policy on a trace
 /// with no deadlines; and fair share with a *single* tenant (every
 /// candidate sees the same bucket, so the rank prefix is constant within
@@ -1071,20 +870,14 @@ fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
         ] {
             let (d_ncq, r_ncq) = run_mode(FtlKind::Dloop, &config, &reqs, Mode::Ncq(8), false);
             let mut d_qos = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_qos = d_qos.run(
-                &reqs,
-                ReplayMode::Qos {
-                    queue_depth: 8,
-                    policy: spec,
-                },
-            );
+            let r_qos = d_qos.run_with(&reqs, RunConfig::qos(spec).queue_depth(8));
             // The probe tags tenants, so compare everything *except* the
             // tenant column for the tagged trace by overlaying fingerprints
             // only when the tags match; here the traces are identical, so
             // full fingerprints must match exactly.
             check_assert_eq!(
-                fingerprint(&r_ncq),
-                fingerprint(&r_qos),
+                report_fingerprint(&r_ncq),
+                report_fingerprint(&r_qos),
                 "{} must be bit-identical to plain NCQ",
                 label
             );
@@ -1092,6 +885,20 @@ fn non_discriminating_qos_policies_are_bit_identical_to_ncq() {
                 flash_digest(&d_ncq),
                 flash_digest(&d_qos),
                 "{} flash state diverged from NCQ",
+                label
+            );
+            // A caller-owned instance of the same policy replays exactly
+            // like the spec spelling.
+            let mut d_owned = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+            let r_owned = d_owned.run_with_policy(
+                &reqs,
+                RunConfig::default().queue_depth(8),
+                spec.build().as_mut(),
+            );
+            check_assert_eq!(
+                report_fingerprint(&r_owned),
+                report_fingerprint(&r_qos),
+                "{} owned policy diverged from its spec",
                 label
             );
         }
@@ -1214,12 +1021,12 @@ fn qos_policies_are_deterministic_across_reruns() {
                 policy: spec,
             };
             let mut d_a = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_a = d_a.run(&reqs, mode);
+            let r_a = d_a.run_with(&reqs, mode.into());
             let mut d_b = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-            let r_b = d_b.run(&reqs, mode);
+            let r_b = d_b.run_with(&reqs, mode.into());
             check_assert_eq!(
-                fingerprint(&r_a),
-                fingerprint(&r_b),
+                report_fingerprint(&r_a),
+                report_fingerprint(&r_b),
                 "{} diverged across reruns",
                 spec.name()
             );

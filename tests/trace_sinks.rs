@@ -18,7 +18,7 @@
 
 use dloop_repro::dloop_ftl::DloopFtl;
 use dloop_repro::ftl_kit::config::SsdConfig;
-use dloop_repro::ftl_kit::device::{ReplayMode, SsdDevice};
+use dloop_repro::ftl_kit::device::{ReplayMode, RunConfig, SsdDevice};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::{
@@ -80,13 +80,13 @@ fn ring_and_stream_sinks_observe_identical_span_sequences() {
         for mode in [ReplayMode::Open, ReplayMode::Gated] {
             let mut ringed = device(&config);
             ringed.attach_sink(Box::new(RingSink::new(1 << 22)));
-            let ring_report = ringed.run(&reqs, mode);
+            let ring_report = ringed.run_with(&reqs, mode.into());
             let ring = ringed.take_trace().expect("ring sink attached");
             check_assert_eq!(ring.dropped(), 0, "ring must be effectively unbounded");
 
             let mut streamed = device(&config);
             streamed.attach_sink(Box::new(StreamSink::new(Vec::new())));
-            let stream_report = streamed.run(&reqs, mode);
+            let stream_report = streamed.run_with(&reqs, mode.into());
             let sink = streamed.detach_sink().expect("stream sink attached");
             let stream = sink
                 .into_any()
@@ -127,7 +127,7 @@ fn chrome_flow_events_lint_and_balance() {
         let config = SsdConfig::micro_gc_test();
         let mut d = device(&config);
         d.attach_sink(Box::new(RingSink::new(1 << 22)));
-        d.run(&reqs, ReplayMode::Open);
+        d.run_with(&reqs, RunConfig::open());
         let rec = d.take_trace().expect("ring sink attached");
         let chrome = chrome_trace_json(&rec);
         json_lint(&chrome).map_err(|e| format!("chrome export must lint: {e}"))?;
@@ -173,7 +173,7 @@ fn channel_utilization_csv_is_well_formed() {
     let mut d = device(&config);
     d.attach_sink(Box::new(RingSink::new(1 << 20)));
     let reqs = requests(&[(0, 4, true), (7, 4, true), (3, 3, false), (0, 4, true)]);
-    d.run(&reqs, ReplayMode::Open);
+    d.run_with(&reqs, RunConfig::open());
     let rec = d.take_trace().expect("ring sink attached");
     let csv = channel_utilization_csv(&rec, channels, 16);
     let mut lines = csv.lines();
@@ -206,7 +206,7 @@ fn sampling_sink_keeps_exactly_one_span_in_n() {
         // Ground truth: the full span stream.
         let mut full = device(&config);
         full.attach_sink(Box::new(BufferSink::new()));
-        full.run(&reqs, ReplayMode::Open);
+        full.run_with(&reqs, RunConfig::open());
         let sink = full.detach_sink().expect("buffer sink attached");
         let all = sink
             .into_any()
@@ -220,7 +220,7 @@ fn sampling_sink_keeps_exactly_one_span_in_n() {
                 Box::new(BufferSink::new()),
                 every,
             )));
-            sampled.run(&reqs, ReplayMode::Open);
+            sampled.run_with(&reqs, RunConfig::open());
             let sink = sampled.detach_sink().expect("sampler attached");
             let sampler = sink
                 .into_any()
@@ -261,7 +261,7 @@ fn sampling_sink_counts_inner_drops_and_resets() {
     // must include what the ring evicts.
     let mut d = device(&config);
     d.attach_sink(Box::new(SamplingSink::new(Box::new(RingSink::new(2)), 2)));
-    d.run(&reqs, ReplayMode::Open);
+    d.run_with(&reqs, RunConfig::open());
     let sink = d.detach_sink().expect("sampler attached");
     let sampler = sink
         .into_any()
@@ -293,12 +293,12 @@ fn buffer_sink_records_verbatim_and_clears() {
 
     let mut ringed = device(&config);
     ringed.attach_sink(Box::new(RingSink::new(1 << 20)));
-    ringed.run(&reqs, ReplayMode::Open);
+    ringed.run_with(&reqs, RunConfig::open());
     let ring = ringed.take_trace().expect("ring sink attached");
 
     let mut buffered = device(&config);
     buffered.attach_sink(Box::new(BufferSink::new()));
-    buffered.run(&reqs, ReplayMode::Open);
+    buffered.run_with(&reqs, RunConfig::open());
     let sink = buffered.detach_sink().expect("buffer sink attached");
     let mut buf = sink
         .into_any()

@@ -839,8 +839,10 @@ impl SsdDevice {
     /// step's plane and channel are idle now. Selection runs over a
     /// per-resource readiness index (one lane per plane, keyed by the
     /// first host step's primary plane, plus one lane for chain-less ops
-    /// such as unmapped reads), so each scheduling decision is O(planes),
-    /// not O(pending).
+    /// such as unmapped reads) that holds only the ops inside the reorder
+    /// window: ops are laned as the window slides over them, so each
+    /// scheduling decision is O(planes + queue_depth) however deep the
+    /// pending backlog.
     ///
     /// The policy shapes exactly two things (see [`crate::sched`]):
     /// within-lane order — lanes are kept sorted by
@@ -851,12 +853,12 @@ impl SsdDevice {
     /// idle longest, ties by arrival order.
     ///
     /// Policy note: lanes are head-of-line in *key* order — each lane
-    /// offers only its first in-window entry as a candidate, so an op
-    /// blocked on its *secondary* resource (e.g. the far plane of an
-    /// inter-plane copy) also blocks lower-ranked ops on the same lane.
-    /// Reordering happens *across* planes, which is where the idle
-    /// parallelism DLOOP's allocation creates actually lives; within a
-    /// plane, the single sorted candidate is what keeps selection cheap,
+    /// offers only its first entry as a candidate, so an op blocked on
+    /// its *secondary* resource (e.g. the far plane of an inter-plane
+    /// copy) also blocks lower-ranked ops on the same lane. Reordering
+    /// happens *across* planes, which is where the idle parallelism
+    /// DLOOP's allocation creates actually lives; within a plane, the
+    /// single sorted candidate is what keeps selection cheap,
     /// deterministic, and (for the deadline policy) inversion-free.
     ///
     /// Chain-less ops occupy no resources: the oldest one inside the
@@ -868,19 +870,22 @@ impl SsdDevice {
         queue_depth: usize,
         policy: &mut dyn QosPolicy,
     ) -> RunReport {
-        /// A queued op plus its global arrival sequence number (the
-        /// pending list stays sorted by it).
-        struct NcqOp {
-            seq: u64,
-            op: QueuedOp,
-        }
         /// A readiness-lane entry: the policy's lane sort key, the
         /// candidate view handed back to the policy at ranking time, and
         /// the first host step cached for the resource check.
+        #[derive(Clone, Copy)]
         struct LaneEntry {
             key: u64,
             cand: QosCandidate,
             step: FlashStep,
+        }
+        /// A queued op, its global arrival sequence number (the pending
+        /// list stays sorted by it) and its lane entry, computed once at
+        /// enqueue (`None` for a chain-less op).
+        struct NcqOp {
+            seq: u64,
+            lane: Option<LaneEntry>,
+            op: QueuedOp,
         }
 
         let lpn_space = self.flash.geometry().user_pages();
@@ -891,12 +896,15 @@ impl SsdDevice {
         }
 
         let mut pending: PendingQueue<NcqOp> = PendingQueue::new();
-        // Readiness index: lane `p` holds the pending ops whose first host
-        // step starts on plane `p`, sorted by `(lane_key, seq)`;
-        // `chainless` holds ops with no host steps, which need no
-        // resources at all.
+        // Readiness index over the reorder window: lane `p` holds the
+        // in-window ops whose first host step starts on plane `p`, sorted
+        // by `(lane_key, seq)`; `chainless` holds in-window ops with no
+        // host steps, which need no resources at all. The first `laned`
+        // pending ops (always a prefix, and never more than the window)
+        // are the ones placed there.
         let mut lanes: Vec<Vec<LaneEntry>> = (0..planes).map(|_| Vec::new()).collect();
         let mut chainless: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
+        let mut laned = 0usize;
         let mut next_seq = 0u64;
 
         let mut req_done: Vec<SimTime> = requests.iter().map(|r| r.arrival).collect();
@@ -919,34 +927,25 @@ impl SsdDevice {
                     let (host, gc, scan) = self.translate_page_op(lpn, req.op);
                     stats.count_page(req.op);
                     let draw_uw = self.op_draw_uw(&host, &gc, &scan);
-                    match host.steps().first() {
-                        None => chainless.push_back(next_seq),
-                        Some(step) => {
-                            let cand = QosCandidate {
-                                seq: next_seq,
-                                tenant: req.tenant,
-                                op: req.op,
-                                deadline: req.deadline,
-                                arrival: req.arrival,
-                                plane: step.planes().0,
-                                draw_uw,
-                            };
-                            let key = policy.lane_key(&cand);
-                            let lane = &mut lanes[step.planes().0 as usize];
-                            let pos =
-                                lane.partition_point(|e| (e.key, e.cand.seq) < (key, next_seq));
-                            lane.insert(
-                                pos,
-                                LaneEntry {
-                                    key,
-                                    cand,
-                                    step: *step,
-                                },
-                            );
+                    let lane = host.steps().first().map(|&step| {
+                        let cand = QosCandidate {
+                            seq: next_seq,
+                            tenant: req.tenant,
+                            op: req.op,
+                            deadline: req.deadline,
+                            arrival: req.arrival,
+                            plane: step.planes().0,
+                            draw_uw,
+                        };
+                        LaneEntry {
+                            key: policy.lane_key(&cand),
+                            cand,
+                            step,
                         }
-                    }
+                    });
                     pending.push_back(NcqOp {
                         seq: next_seq,
+                        lane,
                         op: QueuedOp {
                             req: i,
                             lpn,
@@ -962,49 +961,54 @@ impl SsdDevice {
             }
 
             // Issue every selectable op. The reorder window is the oldest
-            // `queue_depth` pending ops; `horizon` is the youngest
-            // sequence number inside it. Re-computed each iteration: an
-            // issue shrinks the pending list and slides the window.
+            // `queue_depth` pending ops; an issue shrinks the pending list
+            // and slides the window, so it is re-read every iteration.
             policy.tick(now);
             loop {
                 let window = pending.len().min(queue_depth);
                 if window == 0 {
                     break;
                 }
-                let horizon = pending.get(window - 1).expect("window within pending").seq;
-                // Chain-less ops need no resources: the oldest one inside
-                // the window issues immediately.
-                if let Some(&seq) = chainless.front() {
-                    if seq <= horizon {
-                        chainless.pop_front();
-                        let idx = pending
-                            .binary_search_by_key(&seq, |o| o.seq)
-                            .expect("indexed op is pending");
-                        let op = pending.remove_at(idx).expect("index in bounds").op;
-                        self.issue_queued_op(
-                            op,
-                            now,
-                            &mut stats,
-                            &mut req_done,
-                            &mut req_ops_left,
-                            &mut events,
-                        );
-                        continue;
+                // Lane the ops the window has slid over since the last
+                // decision.
+                for o in (laned..window).map(|i| pending.get(i).expect("window within pending")) {
+                    match o.lane {
+                        None => chainless.push_back(o.seq),
+                        Some(entry) => {
+                            let lane = &mut lanes[entry.cand.plane as usize];
+                            let at = (entry.key, entry.cand.seq);
+                            let pos = lane.partition_point(|e| (e.key, e.cand.seq) < at);
+                            lane.insert(pos, entry);
+                        }
                     }
                 }
-                // Each lane offers its first in-window entry (in lane-key
-                // order) whose first step's resources are all idle now;
-                // among the offers, pick the lowest
-                // `(rank, plane_ready_at, seq)`. Lanes are visited in
-                // plane order and keys are totally ordered, so selection
-                // is deterministic.
-                let mut best: Option<((u64, u64, SimTime, u64), usize, usize)> = None;
+                laned = window;
+                // Chain-less ops need no resources: the oldest one inside
+                // the window issues immediately.
+                if let Some(seq) = chainless.pop_front() {
+                    let idx = pending
+                        .binary_search_by_key(&seq, |o| o.seq)
+                        .expect("indexed op is pending");
+                    let op = pending.remove_at(idx).expect("index in bounds").op;
+                    laned -= 1;
+                    self.issue_queued_op(
+                        op,
+                        now,
+                        &mut stats,
+                        &mut req_done,
+                        &mut req_ops_left,
+                        &mut events,
+                    );
+                    continue;
+                }
+                // Each lane offers its first entry (in lane-key order) if
+                // its first step's resources are all idle now; among the
+                // offers, pick the lowest `(rank, plane_ready_at, seq)`.
+                // Lanes are visited in plane order and keys are totally
+                // ordered, so selection is deterministic.
+                let mut best: Option<((u64, u64, SimTime, u64), usize)> = None;
                 for (lane, entries) in lanes.iter().enumerate() {
-                    let Some((pos, entry)) = entries
-                        .iter()
-                        .enumerate()
-                        .find(|(_, e)| e.cand.seq <= horizon)
-                    else {
+                    let Some(entry) = entries.first() else {
                         continue;
                     };
                     let (p, p2) = entry.step.planes();
@@ -1020,19 +1024,20 @@ impl SsdDevice {
                     }
                     let (r0, r1) = policy.rank(now, &entry.cand);
                     let key = (r0, r1, self.hw.plane_ready_at(p), entry.cand.seq);
-                    if best.map_or(true, |(k, _, _)| key < k) {
-                        best = Some((key, lane, pos));
+                    if best.is_none_or(|(k, _)| key < k) {
+                        best = Some((key, lane));
                     }
                 }
-                let Some((_, lane, pos)) = best else {
+                let Some((_, lane)) = best else {
                     break;
                 };
-                let entry = lanes[lane].remove(pos);
+                let entry = lanes[lane].remove(0);
                 policy.on_issue(now, &entry.cand);
                 let idx = pending
                     .binary_search_by_key(&entry.cand.seq, |o| o.seq)
                     .expect("selected op is pending");
                 let op = pending.remove_at(idx).expect("index in bounds").op;
+                laned -= 1;
                 let release = self.issue_queued_op(
                     op,
                     now,

@@ -5,8 +5,8 @@
 //! lanes, treating every operation equally. Real devices multiplex many
 //! host streams with different needs — latency-sensitive reads, deadline
 //! IO, throughput tenants — so this module makes the *selection rule*
-//! inside that window pluggable while keeping the window mechanics (lanes,
-//! horizon, wake events) fixed in the driver.
+//! inside that window pluggable while keeping the window mechanics
+//! (in-window lanes, wake events) fixed in the driver.
 //!
 //! # How a policy plugs in
 //!

@@ -1,10 +1,13 @@
 //! Write-back host page cache with deterministic LRU eviction.
 //!
 //! The cache is a pure function of the request stream: lookups use a
-//! `HashMap` (never iterated), while recency order lives in a `BTreeMap`
-//! keyed by a monotone touch sequence, so eviction order, write-back
-//! order and every statistic are identical across reruns — the
-//! determinism rule the host-stack chapter of DESIGN.md pins down.
+//! `HashMap` from page to slot (never iterated), while recency order is
+//! an intrusive doubly linked list threaded through a slab of slots,
+//! oldest at the head. Touching a page unlinks its slot and re-links it
+//! at the tail, eviction pops the head, and freed slots are recycled
+//! through a free list, so every operation is O(1) and eviction order,
+//! write-back order and every statistic are identical across reruns —
+//! the determinism rule the host-stack chapter of DESIGN.md pins down.
 //!
 //! State machine per page: *absent* → (`read` miss) → *clean* → (`write`)
 //! → *dirty* → (dirty-ratio flush / drain) → *clean* → (LRU eviction) →
@@ -12,7 +15,7 @@
 //! page is free.
 
 use dloop_ftl_kit::request::TenantId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A page the cache decided to write back, tagged with the tenant that
 /// last dirtied it (so device-side QoS accounting still sees the right
@@ -44,9 +47,15 @@ pub struct CacheStats {
     pub drained: u64,
 }
 
+/// End-of-list marker for slot links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident page and its recency-list links.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    seq: u64,
+struct Node {
+    lpn: u64,
+    prev: u32,
+    next: u32,
     dirty: bool,
     tenant: TenantId,
 }
@@ -57,9 +66,13 @@ struct Entry {
 pub struct PageCache {
     capacity: u64,
     dirty_ratio: f64,
-    entries: HashMap<u64, Entry>,
-    lru: BTreeMap<u64, u64>,
-    seq: u64,
+    index: HashMap<u64, u32>,
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// Least recently used slot.
+    head: u32,
+    /// Most recently used slot.
+    tail: u32,
     dirty: u64,
     /// Run counters, readable at any time.
     pub stats: CacheStats,
@@ -72,9 +85,11 @@ impl PageCache {
         PageCache {
             capacity,
             dirty_ratio: dirty_ratio.clamp(0.0, 1.0),
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            seq: 0,
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             dirty: 0,
             stats: CacheStats::default(),
         }
@@ -87,12 +102,12 @@ impl PageCache {
 
     /// Resident pages.
     pub fn len(&self) -> u64 {
-        self.entries.len() as u64
+        self.index.len() as u64
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Resident dirty pages.
@@ -100,44 +115,78 @@ impl PageCache {
         self.dirty
     }
 
-    fn touch(&mut self, lpn: u64) {
-        if let Some(e) = self.entries.get_mut(&lpn) {
-            self.lru.remove(&e.seq);
-            self.seq += 1;
-            e.seq = self.seq;
-            self.lru.insert(self.seq, lpn);
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
     }
 
+    /// Link `slot` in as the most recently used page.
+    fn push_back(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
     fn insert(&mut self, lpn: u64, dirty: bool, tenant: TenantId, out: &mut Vec<Writeback>) {
-        self.seq += 1;
-        if let Some(old) = self.entries.insert(
-            lpn,
-            Entry {
-                seq: self.seq,
-                dirty,
-                tenant,
-            },
-        ) {
-            self.lru.remove(&old.seq);
-            if old.dirty {
+        if let Some(&slot) = self.index.get(&lpn) {
+            // Re-insert of a resident page: it takes the new state and
+            // becomes the most recently used.
+            let node = &mut self.nodes[slot as usize];
+            if node.dirty {
                 self.dirty -= 1;
             }
+            node.dirty = dirty;
+            node.tenant = tenant;
+            self.unlink(slot);
+            self.push_back(slot);
+        } else {
+            let node = Node {
+                lpn,
+                prev: NIL,
+                next: NIL,
+                dirty,
+                tenant,
+            };
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.nodes[slot as usize] = node;
+                    slot
+                }
+                None => {
+                    self.nodes.push(node);
+                    u32::try_from(self.nodes.len() - 1).expect("cache slots fit in u32")
+                }
+            };
+            self.index.insert(lpn, slot);
+            self.push_back(slot);
         }
-        self.lru.insert(self.seq, lpn);
         if dirty {
             self.dirty += 1;
         }
         // LRU eviction down to capacity; dirty victims are written back.
-        while self.entries.len() as u64 > self.capacity {
-            let (&seq, &victim) = self.lru.iter().next().expect("non-empty over capacity");
-            self.lru.remove(&seq);
-            let e = self.entries.remove(&victim).expect("lru entry resident");
+        while self.len() > self.capacity {
+            let victim = self.head;
+            self.unlink(victim);
+            self.free.push(victim);
+            let e = self.nodes[victim as usize];
+            self.index.remove(&e.lpn);
             if e.dirty {
                 self.dirty -= 1;
                 self.stats.evicted_dirty += 1;
                 out.push(Writeback {
-                    lpn: victim,
+                    lpn: e.lpn,
                     tenant: e.tenant,
                 });
             } else {
@@ -165,9 +214,10 @@ impl PageCache {
         if !self.enabled() {
             return false;
         }
-        if self.entries.contains_key(&lpn) {
+        if let Some(&slot) = self.index.get(&lpn) {
             self.stats.read_hits += 1;
-            self.touch(lpn);
+            self.unlink(slot);
+            self.push_back(slot);
             true
         } else {
             self.stats.read_misses += 1;
@@ -191,27 +241,26 @@ impl PageCache {
     }
 
     fn flush_dirty(&mut self, out: &mut Vec<Writeback>, draining: bool) {
-        // BTreeMap order = touch order: the write-back stream is
+        // List order = touch order: the write-back stream is
         // deterministic and oldest-dirty-first.
-        let victims: Vec<(u64, u64, TenantId)> = self
-            .lru
-            .iter()
-            .filter_map(|(&seq, &lpn)| {
-                let e = self.entries[&lpn];
-                e.dirty.then_some((seq, lpn, e.tenant))
-            })
-            .collect();
-        for (seq, lpn, tenant) in victims {
-            let _ = seq;
-            let e = self.entries.get_mut(&lpn).expect("dirty page resident");
-            e.dirty = false;
+        let mut slot = self.head;
+        while slot != NIL {
+            let node = &mut self.nodes[slot as usize];
+            slot = node.next;
+            if !node.dirty {
+                continue;
+            }
+            node.dirty = false;
             self.dirty -= 1;
             if draining {
                 self.stats.drained += 1;
             } else {
                 self.stats.flushed += 1;
             }
-            out.push(Writeback { lpn, tenant });
+            out.push(Writeback {
+                lpn: node.lpn,
+                tenant: node.tenant,
+            });
         }
     }
 }
@@ -219,6 +268,9 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dloop_simkit::check::{self, Checker, Generator};
+    use dloop_simkit::check_assert_eq;
+    use std::collections::VecDeque;
 
     #[test]
     fn disabled_cache_misses_everything() {
@@ -322,5 +374,165 @@ mod tests {
             (out, c.stats)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The obviously correct reference: a recency list of
+    /// `(lpn, dirty, tenant)`, oldest first, searched linearly.
+    struct NaiveCache {
+        capacity: u64,
+        dirty_ratio: f64,
+        recency: VecDeque<(u64, bool, TenantId)>,
+        stats: CacheStats,
+    }
+
+    impl NaiveCache {
+        fn dirty_pages(&self) -> u64 {
+            self.recency.iter().filter(|e| e.1).count() as u64
+        }
+
+        fn insert(&mut self, lpn: u64, dirty: bool, tenant: TenantId, out: &mut Vec<Writeback>) {
+            if let Some(pos) = self.recency.iter().position(|e| e.0 == lpn) {
+                self.recency.remove(pos);
+            }
+            self.recency.push_back((lpn, dirty, tenant));
+            while self.recency.len() as u64 > self.capacity {
+                let (lpn, dirty, tenant) = self.recency.pop_front().expect("over capacity");
+                if dirty {
+                    self.stats.evicted_dirty += 1;
+                    out.push(Writeback { lpn, tenant });
+                } else {
+                    self.stats.evicted_clean += 1;
+                }
+            }
+        }
+
+        fn read(&mut self, lpn: u64, tenant: TenantId, out: &mut Vec<Writeback>) -> bool {
+            if self.capacity == 0 {
+                return false;
+            }
+            match self.recency.iter().position(|e| e.0 == lpn) {
+                Some(pos) => {
+                    self.stats.read_hits += 1;
+                    let e = self.recency.remove(pos).expect("found");
+                    self.recency.push_back(e);
+                    true
+                }
+                None => {
+                    self.stats.read_misses += 1;
+                    self.insert(lpn, false, tenant, out);
+                    false
+                }
+            }
+        }
+
+        fn write(&mut self, lpn: u64, tenant: TenantId, out: &mut Vec<Writeback>) {
+            if self.capacity > 0 {
+                self.stats.writes_absorbed += 1;
+                self.insert(lpn, true, tenant, out);
+            }
+        }
+
+        fn flush(&mut self, out: &mut Vec<Writeback>, draining: bool) {
+            for e in self.recency.iter_mut().filter(|e| e.1) {
+                e.1 = false;
+                if draining {
+                    self.stats.drained += 1;
+                } else {
+                    self.stats.flushed += 1;
+                }
+                out.push(Writeback {
+                    lpn: e.0,
+                    tenant: e.2,
+                });
+            }
+        }
+
+        fn maybe_flush(&mut self, out: &mut Vec<Writeback>) {
+            let limit = self.dirty_ratio * self.capacity as f64;
+            if self.capacity > 0 && self.dirty_pages() as f64 > limit {
+                self.flush(out, false);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum CacheOp {
+        Read(u64, TenantId),
+        Write(u64, TenantId),
+        MaybeFlush,
+        Drain,
+    }
+
+    /// Random op streams over 12 pages and 3 tenants against caches of
+    /// 0–6 pages: every hit/miss, write-back (page and tenant, in order),
+    /// counter, residency and dirty count must match the naive model
+    /// after every operation.
+    #[test]
+    fn matches_a_naive_recency_list_model() {
+        let op = check::weighted(vec![
+            (
+                5,
+                (check::u64s(0..12), check::u8s(1..4))
+                    .map(|(lpn, t)| CacheOp::Read(lpn, t as TenantId))
+                    .boxed(),
+            ),
+            (
+                5,
+                (check::u64s(0..12), check::u8s(1..4))
+                    .map(|(lpn, t)| CacheOp::Write(lpn, t as TenantId))
+                    .boxed(),
+            ),
+            (2, check::elements(vec![CacheOp::MaybeFlush]).boxed()),
+            (1, check::elements(vec![CacheOp::Drain]).boxed()),
+        ]);
+        let gen = (
+            check::u64s(0..7),
+            check::elements(vec![0.0, 0.25, 0.5, 1.0]),
+            check::vec_of(op, 0..120),
+        );
+        Checker::new()
+            .cases(200)
+            .run(&gen, |(capacity, ratio, ops)| {
+                let mut fast = PageCache::new(*capacity, *ratio);
+                let mut naive = NaiveCache {
+                    capacity: *capacity,
+                    dirty_ratio: *ratio,
+                    recency: VecDeque::new(),
+                    stats: CacheStats::default(),
+                };
+                let (mut out_fast, mut out_naive) = (Vec::new(), Vec::new());
+                for (i, op) in ops.iter().enumerate() {
+                    match *op {
+                        CacheOp::Read(lpn, t) => check_assert_eq!(
+                            fast.read(lpn, t, &mut out_fast),
+                            naive.read(lpn, t, &mut out_naive),
+                            "hit/miss at op {}",
+                            i
+                        ),
+                        CacheOp::Write(lpn, t) => {
+                            fast.write(lpn, t, &mut out_fast);
+                            naive.write(lpn, t, &mut out_naive);
+                        }
+                        CacheOp::MaybeFlush => {
+                            fast.maybe_flush(&mut out_fast);
+                            naive.maybe_flush(&mut out_naive);
+                        }
+                        CacheOp::Drain => {
+                            fast.drain(&mut out_fast);
+                            naive.flush(&mut out_naive, true);
+                        }
+                    }
+                    check_assert_eq!(out_fast, out_naive, "write-backs after op {}", i);
+                    check_assert_eq!(fast.stats, naive.stats, "stats after op {}", i);
+                    check_assert_eq!(fast.len(), naive.recency.len() as u64, "len after op {}", i);
+                    check_assert_eq!(
+                        fast.dirty_pages(),
+                        naive.dirty_pages(),
+                        "dirty pages after op {}",
+                        i
+                    );
+                }
+                Ok(())
+            });
     }
 }

@@ -184,6 +184,7 @@ impl HostStack {
             staged.append(&mut scratch);
         };
         let mut wb: Vec<Writeback> = Vec::new();
+        let mut misses: Vec<u64> = Vec::new();
         for (i, r) in requests.iter().enumerate() {
             wb.clear();
             if r.pages == 0 || !cache.enabled() {
@@ -205,7 +206,7 @@ impl HostStack {
                     cache_served[i] = true;
                 }
                 HostOp::Read => {
-                    let mut misses: Vec<u64> = Vec::new();
+                    misses.clear();
                     for lpn in r.page_ops() {
                         if !cache.read(lpn, r.tenant, &mut wb) {
                             misses.push(lpn);
@@ -476,10 +477,24 @@ impl HostStack {
             interleaved,
         } = outcome;
 
-        let mut by_host: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
+        // Commands per host request as one flat array: request `i`'s
+        // commands are `cmds_of[starts[i]..starts[i + 1]]`, in command
+        // order (a counting sort over the commands' host ids).
+        let mut starts: Vec<usize> = vec![0; requests.len() + 1];
+        for cmd in &forwarded {
+            for &h in &cmd.hosts {
+                starts[h as usize + 1] += 1;
+            }
+        }
+        for i in 0..requests.len() {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut cmds_of: Vec<usize> = vec![0; starts[requests.len()]];
         for (idx, cmd) in forwarded.iter().enumerate() {
             for &h in &cmd.hosts {
-                by_host[h as usize].push(idx);
+                cmds_of[fill[h as usize]] = idx;
+                fill[h as usize] += 1;
             }
         }
         let mut logs: Vec<HostRequestLog> = Vec::with_capacity(requests.len());
@@ -496,7 +511,7 @@ impl HostStack {
                     cache_served: true,
                 }
             } else {
-                let cmds = &by_host[i];
+                let cmds = &cmds_of[starts[i]..starts[i + 1]];
                 debug_assert!(!cmds.is_empty(), "device-served request has commands");
                 let submit = cmds
                     .iter()

@@ -46,33 +46,11 @@ impl<T> PendingQueue<T> {
         self.items.push_back(item);
     }
 
-    /// Put an item back at the front (it keeps highest priority). Used when
-    /// a popped item turns out to still be blocked after a state change.
-    pub fn push_front(&mut self, item: T) {
-        self.items.push_front(item);
-    }
-
     /// Remove and return the first item for which `ready` is true,
     /// preserving the relative order of everything else.
     pub fn pop_first_ready<F: FnMut(&T) -> bool>(&mut self, ready: F) -> Option<T> {
         let idx = self.items.iter().position(ready)?;
         self.items.remove(idx)
-    }
-
-    /// Remove and return *all* items for which `ready` is true, in queue
-    /// order. Items remaining keep their order.
-    pub fn drain_ready<F: FnMut(&T) -> bool>(&mut self, mut ready: F) -> Vec<T> {
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        for it in self.items.drain(..) {
-            if ready(&it) {
-                out.push(it);
-            } else {
-                kept.push_back(it);
-            }
-        }
-        self.items = kept;
-        out
     }
 
     /// Iterate items in priority order without removing them.
@@ -154,18 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready_partitions_in_order() {
-        let mut q = PendingQueue::new();
-        for i in 0..6 {
-            q.push_back(i);
-        }
-        let evens = q.drain_ready(|&i| i % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4]);
-        let rest: Vec<_> = q.iter().cloned().collect();
-        assert_eq!(rest, vec![1, 3, 5]);
-    }
-
-    #[test]
     fn indexed_access_and_removal_keep_order() {
         let mut q = PendingQueue::new();
         for i in 10..15 {
@@ -181,14 +147,5 @@ mod tests {
         let rest: Vec<_> = q.iter().copied().collect();
         assert_eq!(rest, vec![10, 11, 13, 14]);
         assert_eq!(q.remove_at(9), None);
-    }
-
-    #[test]
-    fn push_front_restores_priority() {
-        let mut q = PendingQueue::new();
-        q.push_back(2);
-        q.push_front(1);
-        assert_eq!(q.pop_first_ready(|_| true), Some(1));
-        assert_eq!(q.pop_first_ready(|_| true), Some(2));
     }
 }

@@ -249,10 +249,15 @@ echo "==> perfbench build + smoke (the benchmark compiles against the public API
 # the crates' public items; building and briefly running it here catches
 # a removed or renamed item the benchmark still uses. One traced
 # fin1_paper pass must exit 0 (its own checks: audit, completion
-# counts, traced == untraced fingerprints).
+# counts, traced == untraced fingerprints). The tenant_host_ncq pass is
+# the only scaled run of the NCQ driver behind the buffered host stack
+# (a ~32k-op backlog); its checks additionally require every
+# repetition's fingerprints to match.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload fin1_paper --seed 1 --seconds 1 --trace 1 >/dev/null
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload tenant_host_ncq --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \

@@ -50,9 +50,10 @@ use dloop_repro::ftl_kit::ftl::Ftl;
 use dloop_repro::ftl_kit::metrics::{report_fingerprint, RunReport};
 use dloop_repro::ftl_kit::request::{HostOp, HostRequest};
 use dloop_repro::ftl_kit::sched::{DeadlinePolicy, FairSharePolicy, QosSpec, TOKEN_UNITS};
+use dloop_repro::nand::energy::EnergyConfig;
 use dloop_repro::simkit::check::{self, Checker, Generator};
 use dloop_repro::simkit::trace::attribution;
-use dloop_repro::simkit::{SimDuration, SimTime};
+use dloop_repro::simkit::{SimDuration, SimRng, SimTime};
 use dloop_repro::{check_assert, check_assert_eq};
 use std::fmt::Write as _;
 
@@ -950,11 +951,20 @@ fn fair_share_token_buckets_conserve_tokens_over_a_replay() {
 }
 
 /// EDF never inverts two same-plane deadlines: on a single-plane device
-/// (every op shares the one lane) with the whole burst inside the reorder
-/// window, operations must issue in deadline order even though their
+/// (every op shares the one lane), operations must issue in deadline
+/// order among the ops inside the reorder window, even though their
 /// deadlines are the *reverse* of arrival order. The queue probe records
 /// units in issue order, and each request carries a unique tenant id, so
 /// the probe's tenant column *is* the issue order.
+///
+/// Three window depths: the whole burst in the window (pure deadline
+/// order), a window of 4 (the lane's earliest deadline sits *outside*
+/// the window for most of the replay, so the driver must offer the
+/// earliest in-window deadline instead of stalling behind it), and a
+/// window of 1 (FIFO). With `d = min(depth, n)` the closed form is
+/// `[0, d, d+1, …, n, d−1, …, 1]`: the window's youngest op always has
+/// the earliest deadline until arrivals run out, then the rest drain in
+/// deadline order.
 #[test]
 fn edf_issues_same_plane_deadlines_in_deadline_order() {
     let config = SsdConfig {
@@ -988,22 +998,92 @@ fn edf_issues_same_plane_deadlines_in_deadline_order() {
         .with_tenant(1 + i as u16)
         .with_deadline_after(SimDuration::from_micros(1000 * (n - i)))
     }));
-    let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
-    let mut policy = DeadlinePolicy;
-    let report = device.run_with_policy(
-        &reqs,
-        RunConfig::default().queue_depth(reqs.len()),
-        &mut policy,
-    );
-    assert_eq!(report.requests_completed, reqs.len() as u64);
-    let issue_order: Vec<u16> = report.queue_log.tracked().iter().map(|u| u.0).collect();
-    // Blocker first, then deadline order = reverse arrival order.
-    let mut expected: Vec<u16> = vec![0];
-    expected.extend((1..=n as u16).rev());
-    assert_eq!(
-        issue_order, expected,
-        "EDF inverted same-plane deadlines (probe records issue order)"
-    );
+    for depth in [n as usize + 1, 4, 1] {
+        let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+        let mut policy = DeadlinePolicy;
+        let report =
+            device.run_with_policy(&reqs, RunConfig::default().queue_depth(depth), &mut policy);
+        assert_eq!(report.requests_completed, reqs.len() as u64);
+        let issue_order: Vec<u16> = report.queue_log.tracked().iter().map(|u| u.0).collect();
+        // Blocker first, then the window's earliest deadline each time.
+        let d = depth.min(n as usize) as u16;
+        let mut expected: Vec<u16> = vec![0];
+        expected.extend(d..=n as u16);
+        expected.extend((1..d).rev());
+        assert_eq!(
+            issue_order, expected,
+            "EDF at depth {depth} inverted same-plane deadlines (probe records issue order)"
+        );
+    }
+}
+
+/// Deep-backlog regression pin for the NCQ/QoS driver. A burst of 1600
+/// tenant- and deadline-tagged mixed requests arrives far faster than a
+/// 4-plane device drains it, so at every depth the pending list is many
+/// times the reorder window and most lanes hold ops outside it. Each
+/// policy (plain NCQ, every `QosSpec::all()` entry and the power cap,
+/// with energy accounting on so its draw bounds are live) must reproduce
+/// the fingerprints below, recorded with a driver that scanned every
+/// pending op for each lane's first in-window entry.
+#[test]
+fn deep_backlog_queued_replays_match_pinned_fingerprints() {
+    const DEPTHS: [usize; 3] = [1, 4, 32];
+    #[rustfmt::skip]
+    const PINNED: [[u64; 7]; 3] = [
+        [0xc69717e0ec2109c0, 0xc69717e0ec2109c0, 0xc69717e0ec2109c0, 0xc69717e0ec2109c0,
+         0xc69717e0ec2109c0, 0xc69717e0ec2109c0, 0x45709887ba8898e0],
+        [0x995183517ea8dd79, 0x4a4ad5f59e2495ab, 0x995183517ea8dd79, 0x02199d2e9d465b89,
+         0x9159ee16ecf695c2, 0x4d9344b694984f7c, 0xfeef528a8a488163],
+        [0xeda7be7e9ef8bfb7, 0x8c6a5bfabbf44b7e, 0xeda7be7e9ef8bfb7, 0x0ad3724db076f490,
+         0x66ae0efa369b2d64, 0xa9acd38d64fef0ac, 0x2ad3223b516fb10b],
+    ];
+    let config = SsdConfig::micro_gc_test().with_energy(EnergyConfig::paper_default());
+    let mut rng = SimRng::new(0xDEE9);
+    let reqs: Vec<HostRequest> = (0..50 * 32u64)
+        .map(|i| {
+            let op = if rng.below(3) == 0 {
+                HostOp::Read
+            } else {
+                HostOp::Write
+            };
+            HostRequest {
+                arrival: SimTime::from_micros(2 * i),
+                lpn: rng.below(1024),
+                pages: 1 + rng.below(4) as u32,
+                op,
+                ..HostRequest::default()
+            }
+            .with_tenant(1 + rng.below(3) as u16)
+            .with_deadline_after(SimDuration::from_micros(rng.range_inclusive(100, 20_000)))
+        })
+        .collect();
+    for (depth, pinned) in DEPTHS.into_iter().zip(PINNED) {
+        let modes = std::iter::once(ReplayMode::Ncq { queue_depth: depth }).chain(
+            QosSpec::all()
+                .into_iter()
+                .chain([QosSpec::power_cap()])
+                .map(|policy| ReplayMode::Qos {
+                    queue_depth: depth,
+                    policy,
+                }),
+        );
+        let got: Vec<u64> = modes
+            .map(|mode| {
+                let mut device = SsdDevice::new(config.clone(), build(FtlKind::Dloop, &config));
+                let report = device.run_with(&reqs, mode.into());
+                assert_eq!(report.requests_completed, reqs.len() as u64);
+                device.audit().expect("audit");
+                report_fingerprint(&report)
+            })
+            .collect();
+        let hex: Vec<String> = got.iter().map(|f| format!("{f:#018x}")).collect();
+        assert_eq!(
+            got,
+            pinned,
+            "depth {depth}: fingerprints drifted (ncq, then QosSpec::all(), then power cap): [{}]",
+            hex.join(", ")
+        );
+    }
 }
 
 /// Every QoS policy is deterministic: the same tenant-tagged trace

@@ -11,13 +11,20 @@
 //! it for enterprise workloads.
 //!
 //! Dirty entries (mappings changed since they were loaded) must be written
-//! back to their translation page on eviction; the CMT keeps a per-
-//! translation-page dirty index so the FTL can batch-flush all dirty
-//! siblings of the victim with one translation-page rewrite (the classic
-//! DFTL "batch update" optimisation).
+//! back to their translation page on eviction; the CMT keeps a dirty count
+//! per translation page so the FTL can batch-flush all dirty siblings of
+//! the victim with one translation-page rewrite (the classic DFTL "batch
+//! update" optimisation). A flush walks its page's LPNs in ascending order.
+//!
+//! The index is dense: one `u32` slot per LPN of the space the table was
+//! built for, holding the entry's node index + 1 (0 = not cached). A probe
+//! is one array load, with no hashing on the host-write or GC-move path,
+//! and forks, merges and flushes walk LPNs in ascending order. The slots
+//! cost 4 bytes per LPN whatever the capacity;
+//! [`DemandMap`](crate::demand::DemandMap) stores its authoritative map as
+//! `u32` PPNs to pay for them.
 
 use dloop_nand::{Lpn, Ppn};
-use std::collections::{BTreeSet, HashMap};
 
 const NIL: u32 = u32::MAX;
 
@@ -37,12 +44,18 @@ struct Node {
     next: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct ListEnds {
     head: u32, // MRU
     tail: u32, // LRU
     len: usize,
 }
+
+const EMPTY: ListEnds = ListEnds {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
 
 /// An entry evicted from the CMT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +73,7 @@ pub struct Evicted {
 /// ```
 /// use dloop_ftl_kit::cmt::CachedMappingTable;
 ///
-/// let mut cmt = CachedMappingTable::new(2, 256);
+/// let mut cmt = CachedMappingTable::new(2, 256, 1024);
 /// cmt.insert(1, 100, false);
 /// cmt.insert(2, 200, false);
 /// assert_eq!(cmt.lookup(1), Some(100)); // promoted to protected
@@ -72,42 +85,37 @@ pub struct Evicted {
 pub struct CachedMappingTable {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    index: HashMap<Lpn, u32>,
+    /// Per LPN: node index + 1 of its cached entry, 0 when not cached.
+    slots: Vec<u32>,
     probation: ListEnds,
     protected: ListEnds,
     capacity: usize,
     protected_cap: usize,
     mappings_per_tpage: u64,
-    dirty_index: HashMap<u64, BTreeSet<Lpn>>,
+    /// Per translation page: how many of its cached entries are dirty.
+    dirty_counts: Vec<u32>,
     hits: u64,
     misses: u64,
 }
 
 impl CachedMappingTable {
-    /// A CMT holding at most `capacity` entries, of which at most
-    /// `capacity/2` sit in the protected segment; `mappings_per_tpage`
-    /// groups entries by translation page for batched write-back.
-    pub fn new(capacity: usize, mappings_per_tpage: u64) -> Self {
+    /// A CMT over LPNs `0..lpn_space` holding at most `capacity` entries,
+    /// of which at most `capacity/2` sit in the protected segment;
+    /// `mappings_per_tpage` groups entries by translation page for batched
+    /// write-back. The index takes 4 bytes per LPN of `lpn_space`.
+    pub fn new(capacity: usize, mappings_per_tpage: u64, lpn_space: u64) -> Self {
         assert!(capacity >= 2, "CMT needs at least two entries");
         assert!(mappings_per_tpage > 0);
         CachedMappingTable {
-            nodes: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity.min(lpn_space as usize)),
             free: Vec::new(),
-            index: HashMap::with_capacity(capacity),
-            probation: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            protected: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
+            slots: vec![0; lpn_space as usize],
+            probation: EMPTY,
+            protected: EMPTY,
             capacity,
             protected_cap: capacity / 2,
             mappings_per_tpage,
-            dirty_index: HashMap::new(),
+            dirty_counts: vec![0; lpn_space.div_ceil(mappings_per_tpage) as usize],
             hits: 0,
             misses: 0,
         }
@@ -120,12 +128,12 @@ impl CachedMappingTable {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.probation.len + self.protected.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Configured capacity.
@@ -152,49 +160,44 @@ impl CachedMappingTable {
         self.misses += misses;
     }
 
-    /// Every cached entry as `(lpn, ppn, dirty)`, in unspecified order —
+    /// The node index of `lpn`'s cached entry.
+    fn slot(&self, lpn: Lpn) -> Option<u32> {
+        self.slots[lpn as usize].checked_sub(1)
+    }
+
+    /// Every cached entry as `(lpn, ppn, dirty)`, in ascending LPN order —
     /// the sharded merge walks a worker's entries and adopts the ones the
     /// worker owned.
     pub fn iter_entries(&self) -> impl Iterator<Item = (Lpn, Ppn, bool)> + '_ {
-        self.index.values().map(|&i| {
-            let n = &self.nodes[i as usize];
-            (n.lpn, n.ppn, n.dirty)
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != 0)
+            .map(|(lpn, &s)| {
+                let n = &self.nodes[s as usize - 1];
+                (lpn as Lpn, n.ppn, n.dirty)
+            })
     }
 
     /// A partial fork for one sharded worker: a fresh table with the same
-    /// capacity and translation-page grouping, seeded with exactly the
-    /// entries whose LPN the worker `owns`. In the fully-resident regime
-    /// the recency order is never consulted, so presence alone makes the
-    /// fork behave identically to the full table for owned LPNs — at a
-    /// fraction of the clone cost and of the worker's working set.
-    /// Hit/miss counters start at zero (the fork counts pure deltas).
+    /// capacity, LPN space and translation-page grouping, seeded in
+    /// ascending LPN order with exactly the entries whose LPN the worker
+    /// `owns`. In the fully-resident regime the recency order is never
+    /// consulted, so presence alone makes the fork behave identically to
+    /// the full table for owned LPNs. The cost is one pass over the slot
+    /// array plus one insert per owned entry, and the worker's node list
+    /// holds only its own entries. Hit/miss counters start at zero (the
+    /// fork counts pure deltas).
     pub fn shard_fork_owned(&self, owns: &dyn Fn(Lpn) -> bool) -> CachedMappingTable {
-        let mut fork = CachedMappingTable {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            probation: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            protected: ListEnds {
-                head: NIL,
-                tail: NIL,
-                len: 0,
-            },
-            capacity: self.capacity,
-            protected_cap: self.protected_cap,
-            mappings_per_tpage: self.mappings_per_tpage,
-            dirty_index: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        };
-        for (&lpn, &idx) in &self.index {
+        let mut fork = CachedMappingTable::new(
+            self.capacity,
+            self.mappings_per_tpage,
+            self.slots.len() as u64,
+        );
+        for (lpn, ppn, dirty) in self.iter_entries() {
             if owns(lpn) {
-                let n = &self.nodes[idx as usize];
-                fork.adopt(lpn, n.ppn, n.dirty);
+                let evicted = fork.insert(lpn, ppn, dirty);
+                debug_assert!(evicted.is_none());
             }
         }
         fork
@@ -208,23 +211,22 @@ impl CachedMappingTable {
     ///
     /// Panics if an insert would require an eviction.
     pub fn adopt(&mut self, lpn: Lpn, ppn: Ppn, dirty: bool) {
-        if let Some(&idx) = self.index.get(&lpn) {
-            let node = &mut self.nodes[idx as usize];
-            node.ppn = ppn;
-            let was_dirty = node.dirty;
-            node.dirty = dirty;
-            if dirty && !was_dirty {
-                self.mark_dirty(lpn);
-            } else if !dirty && was_dirty {
-                self.unmark_dirty(lpn);
-            }
-        } else {
+        let Some(idx) = self.slot(lpn) else {
             assert!(
-                self.index.len() < self.capacity,
+                self.len() < self.capacity,
                 "adopt into a full CMT would evict"
             );
             let evicted = self.insert(lpn, ppn, dirty);
             debug_assert!(evicted.is_none());
+            return;
+        };
+        let node = &mut self.nodes[idx as usize];
+        node.ppn = ppn;
+        let was_dirty = std::mem::replace(&mut node.dirty, dirty);
+        if dirty && !was_dirty {
+            self.mark_dirty(lpn);
+        } else if !dirty && was_dirty {
+            self.unmark_dirty(lpn);
         }
     }
 
@@ -277,23 +279,18 @@ impl CachedMappingTable {
 
     fn mark_dirty(&mut self, lpn: Lpn) {
         let tvpn = self.tvpn_of(lpn);
-        self.dirty_index.entry(tvpn).or_default().insert(lpn);
+        self.dirty_counts[tvpn as usize] += 1;
     }
 
     fn unmark_dirty(&mut self, lpn: Lpn) {
         let tvpn = self.tvpn_of(lpn);
-        if let Some(set) = self.dirty_index.get_mut(&tvpn) {
-            set.remove(&lpn);
-            if set.is_empty() {
-                self.dirty_index.remove(&tvpn);
-            }
-        }
+        self.dirty_counts[tvpn as usize] -= 1;
     }
 
     /// A referencing lookup: on hit, promote to the protected segment and
     /// return the mapping. Counts toward hit/miss statistics.
     pub fn lookup(&mut self, lpn: Lpn) -> Option<Ppn> {
-        let Some(&idx) = self.index.get(&lpn) else {
+        let Some(idx) = self.slot(lpn) else {
             self.misses += 1;
             return None;
         };
@@ -316,9 +313,10 @@ impl CachedMappingTable {
 
     /// Non-referencing read of a cached mapping (no promotion, no stats).
     pub fn peek(&self, lpn: Lpn) -> Option<(Ppn, bool)> {
-        self.index
-            .get(&lpn)
-            .map(|&i| (self.nodes[i as usize].ppn, self.nodes[i as usize].dirty))
+        self.slot(lpn).map(|i| {
+            let n = &self.nodes[i as usize];
+            (n.ppn, n.dirty)
+        })
     }
 
     /// Update the mapping of an LPN that is already cached (a write hit):
@@ -326,13 +324,8 @@ impl CachedMappingTable {
     ///
     /// Panics if the LPN is not cached — callers must `lookup` first.
     pub fn update(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        let &idx = self.index.get(&lpn).expect("update of uncached mapping");
-        let node = &mut self.nodes[idx as usize];
-        node.ppn = new_ppn;
-        if !node.dirty {
-            node.dirty = true;
-            self.mark_dirty(lpn);
-        }
+        let idx = self.slot(lpn).expect("update of uncached mapping");
+        self.set_dirty(idx, new_ppn);
         self.promote(idx);
     }
 
@@ -342,16 +335,21 @@ impl CachedMappingTable {
     ///
     /// No-op if the LPN is not cached (GC moves uncached pages too).
     pub fn update_in_place(&mut self, lpn: Lpn, new_ppn: Ppn) -> bool {
-        let Some(&idx) = self.index.get(&lpn) else {
+        let Some(idx) = self.slot(lpn) else {
             return false;
         };
+        self.set_dirty(idx, new_ppn);
+        true
+    }
+
+    fn set_dirty(&mut self, idx: u32, new_ppn: Ppn) {
         let node = &mut self.nodes[idx as usize];
         node.ppn = new_ppn;
         if !node.dirty {
             node.dirty = true;
+            let lpn = node.lpn;
             self.mark_dirty(lpn);
         }
-        true
     }
 
     /// Insert a mapping that is not currently cached. Returns the entry
@@ -360,39 +358,33 @@ impl CachedMappingTable {
     /// Panics if the LPN is already cached.
     pub fn insert(&mut self, lpn: Lpn, ppn: Ppn, dirty: bool) -> Option<Evicted> {
         assert!(
-            !self.index.contains_key(&lpn),
+            self.slot(lpn).is_none(),
             "insert of already-cached lpn {lpn}"
         );
-        let evicted = if self.index.len() >= self.capacity {
+        let evicted = if self.len() >= self.capacity {
             Some(self.evict_one())
         } else {
             None
         };
+        let node = Node {
+            lpn,
+            ppn,
+            dirty,
+            seg: Segment::Probation,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(i) => {
-                self.nodes[i as usize] = Node {
-                    lpn,
-                    ppn,
-                    dirty,
-                    seg: Segment::Probation,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.nodes[i as usize] = node;
                 i
             }
             None => {
-                self.nodes.push(Node {
-                    lpn,
-                    ppn,
-                    dirty,
-                    seg: Segment::Probation,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.nodes.push(node);
                 (self.nodes.len() - 1) as u32
             }
         };
-        self.index.insert(lpn, idx);
+        self.slots[lpn as usize] = idx + 1;
         self.attach_front(idx, Segment::Probation);
         if dirty {
             self.mark_dirty(lpn);
@@ -420,7 +412,7 @@ impl CachedMappingTable {
             ppn: node.ppn,
             dirty: node.dirty,
         };
-        self.index.remove(&ev.lpn);
+        self.slots[ev.lpn as usize] = 0;
         if ev.dirty {
             self.unmark_dirty(ev.lpn);
         }
@@ -431,52 +423,61 @@ impl CachedMappingTable {
     /// Remove a specific cached entry (e.g. when GC relocates its
     /// translation page and the FTL re-materialises mappings).
     pub fn remove(&mut self, lpn: Lpn) -> Option<Evicted> {
-        let &idx = self.index.get(&lpn)?;
+        let idx = self.slot(lpn)?;
         Some(self.remove_node(idx))
     }
 
     /// Drain and clean every *dirty* cached mapping belonging to
-    /// translation page `tvpn`, returning (lpn, ppn) pairs. The entries
-    /// stay cached but are no longer dirty — the caller is about to write
-    /// them all into the translation page in one batch.
+    /// translation page `tvpn`, returning (lpn, ppn) pairs in ascending LPN
+    /// order. The entries stay cached but are no longer dirty — the caller
+    /// is about to write them all into the translation page in one batch.
     pub fn flush_translation_page(&mut self, tvpn: u64) -> Vec<(Lpn, Ppn)> {
-        let Some(set) = self.dirty_index.remove(&tvpn) else {
+        let Some(count) = self.dirty_counts.get_mut(tvpn as usize) else {
             return Vec::new();
         };
-        let mut out = Vec::with_capacity(set.len());
-        for lpn in set {
-            let &idx = self.index.get(&lpn).expect("dirty index desync");
-            let node = &mut self.nodes[idx as usize];
-            debug_assert!(node.dirty);
-            node.dirty = false;
-            out.push((lpn, node.ppn));
+        let want = std::mem::take(count) as usize;
+        let mut out = Vec::with_capacity(want);
+        let lo = tvpn * self.mappings_per_tpage;
+        let hi = (lo + self.mappings_per_tpage).min(self.slots.len() as u64);
+        for lpn in lo..hi {
+            if out.len() == want {
+                break;
+            }
+            if let Some(idx) = self.slot(lpn) {
+                let node = &mut self.nodes[idx as usize];
+                if node.dirty {
+                    node.dirty = false;
+                    out.push((lpn, node.ppn));
+                }
+            }
         }
+        debug_assert_eq!(out.len(), want, "dirty count desync");
         out
     }
 
-    /// All dirty entries grouped by translation page — used when shutting
-    /// down a run to account for outstanding state (and in audits).
+    /// Translation pages holding at least one dirty entry, ascending —
+    /// used when shutting down a run to account for outstanding state (and
+    /// in audits).
     pub fn dirty_tvpns(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.dirty_index.keys().copied().collect();
-        v.sort_unstable();
-        v
+        (self.dirty_counts.iter().enumerate())
+            .filter(|(_, &c)| c > 0)
+            .map(|(t, _)| t as u64)
+            .collect()
     }
 
-    /// Audit internal consistency: index ↔ lists ↔ dirty-index agreement.
+    /// Audit internal consistency: slots ↔ lists ↔ dirty-count agreement.
     pub fn check(&self) -> Result<(), String> {
-        if self.probation.len + self.protected.len != self.index.len() {
-            return Err("segment lengths disagree with index".into());
-        }
-        if self.index.len() > self.capacity {
+        if self.len() > self.capacity {
             return Err("over capacity".into());
         }
-        let mut seen = 0usize;
+        let mut dirty_counts = vec![0u32; self.dirty_counts.len()];
         for (ends, seg) in [
             (self.probation, Segment::Probation),
             (self.protected, Segment::Protected),
         ] {
             let mut idx = ends.head;
             let mut prev = NIL;
+            let mut seen = 0usize;
             while idx != NIL {
                 let n = &self.nodes[idx as usize];
                 if n.seg != seg {
@@ -485,15 +486,11 @@ impl CachedMappingTable {
                 if n.prev != prev {
                     return Err("broken prev link".into());
                 }
-                if self.index.get(&n.lpn) != Some(&idx) {
-                    return Err("index desync".into());
+                if self.slot(n.lpn) != Some(idx) {
+                    return Err(format!("slot desync for lpn {}", n.lpn));
                 }
-                let dirty_indexed = self
-                    .dirty_index
-                    .get(&self.tvpn_of(n.lpn))
-                    .is_some_and(|s| s.contains(&n.lpn));
-                if n.dirty != dirty_indexed {
-                    return Err(format!("dirty index desync for lpn {}", n.lpn));
+                if n.dirty {
+                    dirty_counts[self.tvpn_of(n.lpn) as usize] += 1;
                 }
                 prev = idx;
                 idx = n.next;
@@ -502,9 +499,15 @@ impl CachedMappingTable {
             if ends.tail != prev {
                 return Err("tail mismatch".into());
             }
+            if seen != ends.len {
+                return Err("segment length disagrees with its list".into());
+            }
         }
-        if seen != self.index.len() {
-            return Err("orphan index entries".into());
+        if self.slots.iter().filter(|&&s| s != 0).count() != self.len() {
+            return Err("orphan slots".into());
+        }
+        if dirty_counts != self.dirty_counts {
+            return Err("dirty counts desync".into());
         }
         Ok(())
     }
@@ -515,7 +518,7 @@ mod tests {
     use super::*;
 
     fn cmt(cap: usize) -> CachedMappingTable {
-        CachedMappingTable::new(cap, 256)
+        CachedMappingTable::new(cap, 256, 512)
     }
 
     #[test]

@@ -25,8 +25,11 @@ use crate::ftl::FtlContext;
 use crate::gtd::Gtd;
 use dloop_nand::{Geometry, Lpn, Ppn};
 
-/// Sentinel for "no physical page mapped".
+/// Sentinel for "no physical page mapped" in cached entries.
 pub const UNMAPPED: Ppn = Ppn::MAX;
+
+/// The same sentinel in the authoritative `u32` map.
+const NO_PPN: u32 = u32::MAX;
 
 /// Counters the engine maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +56,8 @@ pub struct DemandCounters {
 /// the translation stream dwarfs the host stream.
 #[derive(Debug, Clone)]
 pub struct DemandMap {
-    map: Vec<Ppn>,
+    /// Authoritative LPN → PPN map, as `u32` (see [`DemandMap::new`]).
+    map: Vec<u32>,
     cmt: CachedMappingTable,
     gtd: Gtd,
     pending: std::collections::BTreeMap<u64, u32>,
@@ -65,10 +69,30 @@ pub struct DemandMap {
 
 impl DemandMap {
     /// Build for a geometry with a CMT of `cmt_capacity` entries.
+    ///
+    /// The authoritative map stores each PPN as a `u32`, with `u32::MAX`
+    /// meaning unmapped. Half the width of a `Ppn` pays for the CMT's
+    /// dense 4-byte-per-LPN index. The largest geometry the experiments
+    /// build (64 GB of 2 KB pages) has about 35 M physical pages.
+    ///
+    /// # Panics
+    ///
+    /// If the geometry has 2³² or more physical pages, before anything
+    /// is allocated.
     pub fn new(geometry: &Geometry, cmt_capacity: usize) -> Self {
+        let pages = geometry.total_physical_pages();
+        assert!(
+            pages <= u32::MAX as u64,
+            "DemandMap stores PPNs as u32: {pages} physical pages (2^32 or more) do not fit"
+        );
+        let lpns = geometry.user_pages();
         DemandMap {
-            map: vec![UNMAPPED; geometry.user_pages() as usize],
-            cmt: CachedMappingTable::new(cmt_capacity, geometry.mappings_per_translation_page()),
+            map: vec![NO_PPN; lpns as usize],
+            cmt: CachedMappingTable::new(
+                cmt_capacity,
+                geometry.mappings_per_translation_page(),
+                lpns,
+            ),
             gtd: Gtd::new(geometry),
             pending: std::collections::BTreeMap::new(),
             pending_total: 0,
@@ -80,7 +104,7 @@ impl DemandMap {
     /// The authoritative mapping for `lpn` (no traffic, no cache effects).
     pub fn mapped(&self, lpn: Lpn) -> Option<Ppn> {
         let p = self.map[lpn as usize];
-        (p != UNMAPPED).then_some(p)
+        (p != NO_PPN).then_some(p as Ppn)
     }
 
     /// The translation page covering `lpn`.
@@ -117,13 +141,14 @@ impl DemandMap {
     }
 
     /// A worker's fork for plane-sharded translation, authoritative only
-    /// for the LPNs `owns` selects (the worker's home planes): the full
-    /// mapping array is copied (a flat memcpy), but the cached-mapping
-    /// table is rebuilt with owned entries only — the worker never looks
-    /// up a foreign LPN, and carrying the full cache would multiply both
-    /// the fork cost and the worker's random-access working set by the
-    /// shard count. All counters start at zero, so the worker accumulates
-    /// pure deltas for [`DemandMap::shard_absorb`].
+    /// for the LPNs `owns` selects (the worker's home planes): the `u32`
+    /// mapping array is copied (a flat memcpy), and the cached-mapping
+    /// table is rebuilt in one ascending pass over its slot array with
+    /// owned entries only — the worker never looks up a foreign LPN, and
+    /// carrying foreign entries would multiply the worker's node list and
+    /// random-access working set by the shard count. All counters start at
+    /// zero, so the worker accumulates pure deltas for
+    /// [`DemandMap::shard_absorb`].
     pub fn shard_fork(&self, owns: &dyn Fn(Lpn) -> bool) -> DemandMap {
         DemandMap {
             map: self.map.clone(),
@@ -138,9 +163,10 @@ impl DemandMap {
 
     /// Merge a [`DemandMap::shard_fork`] worker back: adopt authoritative
     /// mappings and cached entries for the LPNs `owns` selects (the
-    /// worker's home planes), and add its hit/miss deltas. Only valid in
-    /// the plane-pure regime, where the worker generated no translation
-    /// traffic and cached-entry recency is never consulted.
+    /// worker's home planes), in ascending LPN order, and add its hit/miss
+    /// deltas. Only valid in the plane-pure regime, where the worker
+    /// generated no translation traffic and cached-entry recency is never
+    /// consulted.
     pub fn shard_absorb(&mut self, worker: &DemandMap, owns: &dyn Fn(Lpn) -> bool) {
         debug_assert_eq!(
             worker.counters,
@@ -169,7 +195,7 @@ impl DemandMap {
             return self.mapped(lpn);
         }
         // Miss: insert (evicting if full), write back a dirty victim.
-        let authoritative = self.map[lpn as usize];
+        let authoritative = self.mapped(lpn).unwrap_or(UNMAPPED);
         let evicted = self.cmt.insert(lpn, authoritative, false);
         if let Some(ev) = evicted {
             if ev.dirty {
@@ -187,10 +213,17 @@ impl DemandMap {
         self.mapped(lpn)
     }
 
+    /// Every PPN fits the `u32` map: [`DemandMap::new`] refused geometries
+    /// with 2³² or more physical pages.
+    fn set_mapping(&mut self, lpn: Lpn, ppn: Ppn) {
+        debug_assert!(ppn < NO_PPN as Ppn, "ppn {ppn} outside the u32 map");
+        self.map[lpn as usize] = ppn as u32;
+    }
+
     /// Commit a host write: `lpn` now lives at `new_ppn`. The entry must be
     /// cached (callers run [`Self::ensure_cached`] first).
     pub fn commit_write(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        self.map[lpn as usize] = new_ppn;
+        self.set_mapping(lpn, new_ppn);
         self.cmt.update(lpn, new_ppn);
     }
 
@@ -199,7 +232,7 @@ impl DemandMap {
     /// dirty eviction), otherwise the update lands in the pending buffer
     /// for a batched flush.
     pub fn gc_move(&mut self, lpn: Lpn, new_ppn: Ppn) {
-        self.map[lpn as usize] = new_ppn;
+        self.set_mapping(lpn, new_ppn);
         if !self.cmt.update_in_place(lpn, new_ppn) {
             let tvpn = self.gtd.tvpn_of(lpn);
             *self.pending.entry(tvpn).or_insert(0) += 1;
@@ -300,13 +333,13 @@ impl DemandMap {
         self.map
             .iter()
             .enumerate()
-            .filter(|(_, &p)| p != UNMAPPED)
-            .map(|(l, &p)| (l as Lpn, p))
+            .filter(|(_, &p)| p != NO_PPN)
+            .map(|(l, &p)| (l as Lpn, p as Ppn))
     }
 
     /// Number of mapped LPNs — O(LPN space), audits only.
     pub fn mapped_count(&self) -> u64 {
-        self.map.iter().filter(|&&p| p != UNMAPPED).count() as u64
+        self.map.iter().filter(|&&p| p != NO_PPN).count() as u64
     }
 
     /// Audit: cached entries agree with the authoritative map; GTD entries
@@ -332,6 +365,8 @@ mod tests {
     use crate::dir::PageDirectory;
     use crate::ftl::{FlashStep, OpChain};
     use dloop_nand::{BlockAddr, FlashState};
+    use dloop_simkit::check::{self, Checker, Generator};
+    use dloop_simkit::{check_assert, check_assert_eq};
 
     /// Harness: a tiny flash plus a trivial plane-0 sequential placer.
     struct Rig {
@@ -346,7 +381,13 @@ mod tests {
 
     impl Rig {
         fn new(cmt_cap: usize) -> Self {
-            let g = dloop_nand::Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2);
+            Self::with_geometry(
+                Geometry::build_with_hierarchy(1, 2, 5.0, 2, 1, 1, 1, 2),
+                cmt_cap,
+            )
+        }
+
+        fn with_geometry(g: Geometry, cmt_cap: usize) -> Self {
             Rig {
                 flash: FlashState::new(g.clone()),
                 dir: PageDirectory::new(&g),
@@ -535,5 +576,148 @@ mod tests {
         assert_eq!(rig.dm.mapped(9), Some(51));
         assert_eq!(rig.dm.cmt.peek(9), Some((51, true)));
         rig.dm.check().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "DemandMap stores PPNs as u32")]
+    fn geometry_with_2_pow_32_physical_pages_is_refused() {
+        // 8 TiB of 2 KiB pages: 2^32 user pages before any spare block.
+        let g = Geometry::build(8192, 2, 3.0);
+        assert!(g.total_physical_pages() >= 1 << 32);
+        DemandMap::new(&g, 4096);
+    }
+
+    /// 4 planes × 8 data blocks × 64 pages: 2048 LPNs on 8 translation
+    /// pages, 2560 physical pages.
+    fn small_geometry() -> Geometry {
+        Geometry {
+            channels: 1,
+            packages_per_channel: 1,
+            chips_per_package: 1,
+            dies_per_chip: 1,
+            planes_per_die: 4,
+            blocks_per_plane: 10,
+            data_blocks_per_plane: 8,
+            pages_per_block: 64,
+            page_size: 2048,
+        }
+    }
+
+    const SMALL_LPNS: u64 = 2048;
+
+    #[derive(Debug, Clone)]
+    enum MapOp {
+        /// A host write: `ensure_cached` then `commit_write`.
+        Write(Lpn, Ppn),
+        /// A host read: `ensure_cached` alone (first touch caches unmapped).
+        Read(Lpn),
+        /// A GC move of a mapped LPN.
+        Move(Lpn, Ppn),
+        /// Clean a translation page's cached entries (parent set-up only).
+        Clean(u64),
+    }
+
+    impl MapOp {
+        fn lpn(&self) -> Lpn {
+            match *self {
+                MapOp::Write(l, _) | MapOp::Read(l) | MapOp::Move(l, _) => l,
+                MapOp::Clean(_) => unreachable!("workers never clean"),
+            }
+        }
+    }
+
+    fn apply(rig: &mut Rig, op: &MapOp) {
+        match *op {
+            MapOp::Write(lpn, ppn) => rig.run(|dm, ctx, place| {
+                dm.ensure_cached(lpn, ctx, place);
+                dm.commit_write(lpn, ppn);
+            }),
+            MapOp::Read(lpn) => {
+                rig.run(|dm, ctx, place| dm.ensure_cached(lpn, ctx, place));
+            }
+            MapOp::Move(lpn, ppn) => {
+                if rig.dm.mapped(lpn).is_some() {
+                    rig.dm.gc_move(lpn, ppn);
+                }
+            }
+            MapOp::Clean(tvpn) => {
+                rig.dm.cmt.flush_translation_page(tvpn);
+            }
+        }
+    }
+
+    fn small_lpn() -> check::BoxedGenerator<Lpn> {
+        check::weighted(vec![
+            (6, check::u64s(0..SMALL_LPNS).boxed()),
+            (1, check::elements(vec![0, SMALL_LPNS - 1]).boxed()),
+        ])
+        .boxed()
+    }
+
+    fn worker_op() -> check::BoxedGenerator<MapOp> {
+        let ppn = || check::u64s(0..small_geometry().total_physical_pages());
+        check::weighted(vec![
+            (
+                3,
+                (small_lpn(), ppn())
+                    .map(|(l, p)| MapOp::Write(l, p))
+                    .boxed(),
+            ),
+            (2, small_lpn().map(MapOp::Read).boxed()),
+            (
+                3,
+                (small_lpn(), ppn()).map(|(l, p)| MapOp::Move(l, p)).boxed(),
+            ),
+        ])
+        .boxed()
+    }
+
+    fn setup_op() -> check::BoxedGenerator<MapOp> {
+        check::weighted(vec![
+            (8, worker_op()),
+            (1, check::u64s(0..8).map(MapOp::Clean).boxed()),
+        ])
+        .boxed()
+    }
+
+    #[test]
+    fn shard_fork_and_absorb_match_a_direct_replay() {
+        let gen = (
+            check::u64s(0..u64::MAX),
+            check::vec_of(setup_op(), 0..300),
+            check::vec_of(worker_op(), 0..300),
+        );
+        Checker::new().cases(64).run(&gen, |(mask, setup, work)| {
+            let owns = |lpn: Lpn| (mask >> (lpn % 64)) & 1 == 1;
+            let rig = || Rig::with_geometry(small_geometry(), SMALL_LPNS as usize);
+            let mut parent = rig();
+            for op in setup {
+                apply(&mut parent, op);
+            }
+            check_assert!(parent.dm.plane_pure());
+            let mut reference = rig();
+            reference.dm = parent.dm.clone();
+            let mut worker = rig();
+            worker.dm = parent.dm.shard_fork(&owns);
+            for op in work.iter().filter(|op| owns(op.lpn())) {
+                apply(&mut worker, op);
+                apply(&mut reference, op);
+            }
+            parent.dm.shard_absorb(&worker.dm, &owns);
+
+            let (got, want) = (&parent.dm, &reference.dm);
+            check_assert_eq!(
+                got.cmt.iter_entries().collect::<Vec<_>>(),
+                want.cmt.iter_entries().collect::<Vec<_>>()
+            );
+            check_assert_eq!(got.cmt.dirty_tvpns(), want.cmt.dirty_tvpns());
+            check_assert_eq!(got.cmt_stats(), want.cmt_stats());
+            check_assert_eq!(
+                got.iter_mapped().collect::<Vec<_>>(),
+                want.iter_mapped().collect::<Vec<_>>()
+            );
+            check_assert_eq!(got.counters, want.counters);
+            got.check()
+        });
     }
 }

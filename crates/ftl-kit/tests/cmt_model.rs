@@ -1,7 +1,9 @@
 //! Model-based property test: the segmented-LRU Cached Mapping Table must
 //! behave like a reference cache — same hit/miss classification, same
-//! contents — under arbitrary operation sequences, while never exceeding
-//! capacity and always passing its structural audit.
+//! contents, same dirty set — under arbitrary operation sequences, while
+//! never exceeding capacity and always passing its structural audit. A
+//! translation-page flush must return exactly that page's dirty entries
+//! in ascending LPN order.
 //!
 //! Runs on `dloop_simkit::check` (the in-tree property harness); failures
 //! print a `SIMKIT_CHECK_REPLAY` seed for deterministic replay.
@@ -9,7 +11,12 @@
 use dloop_ftl_kit::cmt::CachedMappingTable;
 use dloop_simkit::check::{self, Checker, Generator};
 use dloop_simkit::{check_assert, check_assert_eq};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+
+/// Not a multiple of `PER_TPAGE`, so the last translation page is partial.
+const LPN_SPACE: u64 = 120;
+const PER_TPAGE: u64 = 32;
+const TPAGES: u64 = LPN_SPACE.div_ceil(PER_TPAGE);
 
 #[derive(Debug, Clone)]
 enum CmtOp {
@@ -21,31 +28,49 @@ enum CmtOp {
     Flush(u64),
 }
 
+/// Any LPN of the space, with both ends drawn often.
+fn lpn() -> check::BoxedGenerator<u64> {
+    check::weighted(vec![
+        (6, check::u64s(0..LPN_SPACE).boxed()),
+        (1, check::elements(vec![0, LPN_SPACE - 1]).boxed()),
+    ])
+    .boxed()
+}
+
 fn op() -> check::BoxedGenerator<CmtOp> {
     check::weighted(vec![
-        (3, check::u64s(0..128).map(CmtOp::Lookup).boxed()),
+        (3, lpn().map(CmtOp::Lookup).boxed()),
         (
             3,
-            (check::u64s(0..128), check::u64s(0..10_000), check::bools())
+            (lpn(), check::u64s(0..10_000), check::bools())
                 .map(|(l, p, d)| CmtOp::Insert(l, p, d))
                 .boxed(),
         ),
         (
             2,
-            (check::u64s(0..128), check::u64s(0..10_000))
+            (lpn(), check::u64s(0..10_000))
                 .map(|(l, p)| CmtOp::Update(l, p))
                 .boxed(),
         ),
         (
             1,
-            (check::u64s(0..128), check::u64s(0..10_000))
+            (lpn(), check::u64s(0..10_000))
                 .map(|(l, p)| CmtOp::UpdateInPlace(l, p))
                 .boxed(),
         ),
-        (1, check::u64s(0..128).map(CmtOp::Remove).boxed()),
-        (1, check::u64s(0..4).map(CmtOp::Flush).boxed()),
+        (1, lpn().map(CmtOp::Remove).boxed()),
+        (1, check::u64s(0..TPAGES).map(CmtOp::Flush).boxed()),
     ])
     .boxed()
+}
+
+/// The model's dirty entries of translation page `tvpn`, ascending.
+fn dirty_of(model: &BTreeMap<u64, (u64, bool)>, tvpn: u64) -> Vec<(u64, u64)> {
+    model
+        .range(tvpn * PER_TPAGE..(tvpn + 1) * PER_TPAGE)
+        .filter(|(_, &(_, d))| d)
+        .map(|(&l, &(p, _))| (l, p))
+        .collect()
 }
 
 #[test]
@@ -53,10 +78,10 @@ fn cmt_matches_reference_model() {
     let gen = (check::usizes(2..24), check::vec_of(op(), 1..250));
     Checker::new().cases(128).run(&gen, |(cap, ops)| {
         let cap = *cap;
-        let mut cmt = CachedMappingTable::new(cap, 32);
+        let mut cmt = CachedMappingTable::new(cap, PER_TPAGE, LPN_SPACE);
         // The model tracks membership and values only (eviction ORDER is
         // the CMT's own business; capacity and coherence are the law).
-        let mut model: HashMap<u64, (u64, bool)> = HashMap::new();
+        let mut model: BTreeMap<u64, (u64, bool)> = BTreeMap::new();
 
         for o in ops {
             match *o {
@@ -100,18 +125,21 @@ fn cmt_matches_reference_model() {
                 }
                 CmtOp::Flush(tvpn) => {
                     let flushed = cmt.flush_translation_page(tvpn);
-                    for (l, p) in flushed {
-                        let Some(entry) = model.get_mut(&l) else {
-                            return Err(format!("flushed unknown entry {l}"));
-                        };
-                        check_assert_eq!(entry.0, p);
-                        check_assert!(entry.1, "flushed a clean entry");
-                        entry.1 = false;
+                    let want = dirty_of(&model, tvpn);
+                    check_assert_eq!(flushed, want, "flush of tvpn {} diverged", tvpn);
+                    for (l, _) in want {
+                        model.get_mut(&l).unwrap().1 = false;
                     }
                 }
             }
             check_assert!(cmt.len() <= cap);
             check_assert_eq!(cmt.len(), model.len());
+            let entries: Vec<_> = model.iter().map(|(&l, &(p, d))| (l, p, d)).collect();
+            check_assert_eq!(cmt.iter_entries().collect::<Vec<_>>(), entries);
+            let dirty: Vec<u64> = (0..TPAGES)
+                .filter(|&t| !dirty_of(&model, t).is_empty())
+                .collect();
+            check_assert_eq!(cmt.dirty_tvpns(), dirty);
             cmt.check()?;
         }
 

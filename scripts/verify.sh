@@ -252,12 +252,16 @@ echo "==> perfbench build + smoke (the benchmark compiles against the public API
 # counts, traced == untraced fingerprints). The tenant_host_ncq pass is
 # the only scaled run of the NCQ driver behind the buffered host stack
 # (a ~32k-op backlog); its checks additionally require every
-# repetition's fingerprints to match.
+# repetition's fingerprints to match. The aged_overwrite pass runs the
+# shard engine on a fully resident mapping table, so the CMT fork and
+# absorb face the same audit and fingerprint checks.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload fin1_paper --seed 1 --seconds 1 --trace 1 >/dev/null
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload tenant_host_ncq --seed 1 --seconds 1 --trace 0 >/dev/null
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload aged_overwrite --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "==> cargo doc --no-deps (every workspace crate, must be warning-free)"
 for crate in dloop-simkit dloop-faults dloop-nand dloop-ftl-kit dloop \
